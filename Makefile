@@ -27,12 +27,13 @@ race-sim:
 	$(GO) run ./cmd/simtrace -object counter -impl farray -n 2 -ops 2 -seed 4 -crosscheck
 	$(GO) run ./cmd/simtrace -object maxreg -impl algorithm-a -n 2 -ops 2 -crosscheck
 
-# Targeted race pass over the flight recorder: the seqlock rings, hybrid
-# clock, and monitor goroutine are the observability layer's only
-# lock-free concurrency, plus the facade-level tests that scrape
-# /metrics and /debug/history while a recorded workload runs.
+# Targeted race pass over the observability layer: the collector's
+# per-operation publication into shards merged by concurrent scrapes, the
+# flight recorder's seqlock rings, hybrid clock, and monitor goroutine,
+# plus the facade-level tests that scrape /metrics and /debug/history
+# while a recorded workload runs.
 race-flight:
-	$(GO) test -race ./internal/obs/flight/... ./internal/bench/flightlive/...
+	$(GO) test -race ./internal/obs/ ./internal/obs/flight/... ./internal/bench/flightlive/...
 	$(GO) test -race -run 'TestFlight|TestBound' .
 
 # Short live run with the flight recorder attached at the default 1/64

@@ -184,7 +184,7 @@ func runParallelIn(suite, name string, procs int, ops, seed int64, pool *primiti
 	col := obs.NewCollector(procs, pool)
 	ctxs := make([]*obs.Instrumented, procs)
 	for id := range ctxs {
-		ctxs[id] = col.Context(id, primitive.NewDirect(id))
+		ctxs[id] = col.Context(id)
 	}
 
 	var (

@@ -225,7 +225,7 @@ func runParallelCol(col *obs.Collector, name string, procs int, ops int64, seed 
 
 	ctxs := make([]*obs.Instrumented, procs)
 	for id := range ctxs {
-		ctxs[id] = col.Context(id, primitive.NewDirect(id))
+		ctxs[id] = col.Context(id)
 	}
 
 	var (

@@ -67,8 +67,10 @@ type exceedShard struct {
 
 // SetOpBound arms bound conformance for the named operation. It may be
 // called at any time — the configuration is published atomically and
-// spans pick it up on their next End — but budgets are meant to be set
-// once at object construction, before the workload runs.
+// spans pick it up on their next End, scored with their own step and
+// CAS-failure counts even when the span began before the arming — but
+// budgets are meant to be set once at object construction, before the
+// workload runs.
 func (c *Collector) SetOpBound(name string, cfg OpBoundConfig) {
 	if cfg.Worst == 0 && cfg.Uncontended == 0 {
 		return
@@ -78,8 +80,8 @@ func (c *Collector) SetOpBound(name string, cfg OpBoundConfig) {
 }
 
 // observeBound scores one completed span against the armed budgets.
-// steps is the span's exact step count, casFails the CAS failures the
-// span's process recorded while the span was open.
+// steps is the span's exact step count, casFails the CAS failures among
+// those steps.
 func (o *Op) observeBound(cfg *OpBoundConfig, idx int, steps, casFails int64) {
 	// Margin is measured against the tightest unconditional budget we
 	// have: the worst-case bound, or the uncontended bound for

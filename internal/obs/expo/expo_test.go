@@ -115,7 +115,7 @@ func TestExpositionFromLiveCollector(t *testing.T) {
 	pool := primitive.NewPool()
 	r := pool.New("cell", 0)
 	col := obs.NewCollector(1, pool)
-	ctx := col.Context(0, primitive.NewDirect(0))
+	ctx := col.Context(0)
 	op := col.Op("write")
 	for i := 0; i < 4; i++ {
 		sp := op.Begin(ctx)

@@ -6,7 +6,7 @@
 // single background goroutine drains the rings and drives the incremental
 // interval checkers from internal/history over a sliding window. The hot
 // path is designed to disappear at the default sampling rate: an
-// unsampled operation costs one local counter increment and a branch, and
+// unsampled operation costs one local countdown decrement and a branch, and
 // a sampled one costs two hybrid-clock stamps plus a handful of atomic
 // stores into a preallocated slot.
 //
@@ -177,7 +177,7 @@ type Tap struct {
 // tapProc is the per-process producer state, padded to keep neighboring
 // processes off each other's cache lines.
 type tapProc struct {
-	n        int64 // sampling counter (producer-owned)
+	left     int64 // operations until the next sampled one (producer-owned)
 	ring     ring
 	inflight atomic.Int64 // provisional/actual invocation stamp; 0 = idle
 	_        [4]int64
@@ -215,6 +215,7 @@ func (r *Recorder) Tap(family, name string, procs int) *Tap {
 	}
 	t.relaxedFlag.Store(t.relaxed)
 	for i := range t.procs {
+		t.procs[i].left = t.sample
 		t.procs[i].ring.init(r.cfg.WindowPerProc)
 	}
 	t.stream = history.NewStream(history.NewIncremental(family, t.relaxed))
@@ -224,14 +225,15 @@ func (r *Recorder) Tap(family, name string, procs int) *Tap {
 }
 
 // Begin starts recording one operation for process proc. Call the
-// matching End (or EndVec) with the returned token. Unsampled calls cost
-// one increment and a branch.
+// matching End (or EndVec) with the returned token. Every sample-th call
+// per process is sampled; the others cost one decrement and a branch.
 func (t *Tap) Begin(proc int) OpToken {
 	p := &t.procs[proc]
-	p.n++
-	if p.n%t.sample != 0 {
+	p.left--
+	if p.left != 0 {
 		return OpToken{}
 	}
+	p.left = t.sample
 	// Publish a provisional lower bound before stamping so the monitor's
 	// watermark can never pass an invocation it has not observed.
 	p.inflight.Store(t.rec.clock.Load() + 1)

@@ -203,3 +203,26 @@ func TestScanVecRoundTrip(t *testing.T) {
 		t.Fatalf("legal snapshot flagged: %+v", rec.Violations())
 	}
 }
+
+// TestSamplerPicksEveryNthPerProcess pins the sampled positions: with
+// SampleEvery N, a process's k-th operation (counting from 1) is sampled
+// exactly when k is a multiple of N, however the processes interleave.
+func TestSamplerPicksEveryNthPerProcess(t *testing.T) {
+	for _, every := range []int{1, 3, 64} {
+		rec := New(Config{SampleEvery: every})
+		tap := rec.Tap("counter", "counter#0", 2)
+		var seen [2]int
+		for i := 0; i < 10*every; i++ {
+			proc := 0
+			if i%3 == 2 { // proc 0 runs twice as many operations as proc 1
+				proc = 1
+			}
+			seen[proc]++
+			tok := tap.Begin(proc)
+			if want := seen[proc]%every == 0; tok.Sampled() != want {
+				t.Fatalf("every=%d: proc %d op %d sampled=%v, want %v", every, proc, seen[proc], tok.Sampled(), want)
+			}
+			tap.Abort(proc, tok)
+		}
+	}
+}

@@ -14,10 +14,10 @@ const numBuckets = 64
 // Histogram is a fixed-shape, log2-bucketed histogram safe for one
 // concurrent writer and any number of concurrent readers (all fields are
 // atomics). The shape is fixed so per-shard histograms merge by summing
-// buckets; bucket i's inclusive upper bound is BucketBound(i).
+// buckets; bucket i's inclusive upper bound is BucketBound(i). There is no
+// count field: a snapshot's Count is the sum of its buckets.
 type Histogram struct {
 	buckets [numBuckets]atomic.Int64
-	count   atomic.Int64
 	sum     atomic.Int64
 }
 
@@ -50,16 +50,16 @@ func (h *Histogram) Observe(v int64) {
 		v = 0
 	}
 	h.buckets[bucketIndex(v)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 }
 
 // snapshotInto adds the histogram's current contents to dst.
 func (h *Histogram) snapshotInto(dst *HistogramSnapshot) {
 	for i := range h.buckets {
-		dst.Buckets[i] += h.buckets[i].Load()
+		n := h.buckets[i].Load()
+		dst.Buckets[i] += n
+		dst.Count += n
 	}
-	dst.Count += h.count.Load()
 	dst.Sum += h.sum.Load()
 }
 

@@ -5,10 +5,15 @@
 // executions (ChromeTrace).
 //
 // Where primitive.Counting gives exact offline step accounting for a single
-// process, obs.Collector observes a *running* multi-process workload: every
-// process writes to its own shard (plain atomic adds on uncontended cache
-// lines), and readers merge the shards on demand, so scraping never stalls
-// the hot path. Recorded per object:
+// process, obs.Collector observes a *running* multi-process workload. Each
+// process's Instrumented context counts its steps in plain fields only that
+// process touches and publishes them to the process's shard (atomic adds on
+// a cache line no other writer uses) once per operation, when the
+// operation's Span ends; a step issued outside any span publishes at once.
+// Readers merge the shards on demand, so scraping never stalls the hot path.
+// A scrape therefore sees an in-flight operation's steps only after the
+// operation ends — at most one operation per process — and every count is
+// exact at quiescence. Recorded per object:
 //
 //   - per-primitive event counters (reads, writes, CAS attempts);
 //   - CAS failure counters — the paper's contention signal: a failed CAS is
@@ -30,10 +35,10 @@ import (
 	"github.com/restricteduse/tradeoffs/internal/primitive"
 )
 
-// shard holds one process's counters. A shard has exactly one writer (the
-// process owning the id) and any number of concurrent readers, so all
-// fields are atomics; the trailing pad keeps adjacent heap allocations from
-// false-sharing the hot counters.
+// shard holds one process's published counters. A shard has exactly one
+// writer (the process owning the id) and any number of concurrent readers,
+// so all fields are atomics; the trailing pad keeps adjacent heap
+// allocations from false-sharing the hot counters.
 type shard struct {
 	reads        atomic.Int64
 	writes       atomic.Int64
@@ -44,21 +49,6 @@ type shard struct {
 	heat []atomic.Int64 // per-register access counts, indexed by register id
 
 	_ [24]byte
-}
-
-// steps returns the shard's total shared-memory events.
-func (s *shard) steps() int64 {
-	return s.reads.Load() + s.writes.Load() + s.casAttempts.Load()
-}
-
-// touch bumps the register's heatmap cell (or the overflow counter for ids
-// allocated after the collector was built, e.g. by lazily-growing objects).
-func (s *shard) touch(id int) {
-	if id >= 0 && id < len(s.heat) {
-		s.heat[id].Add(1)
-	} else {
-		s.heatOverflow.Add(1)
-	}
 }
 
 // Collector aggregates observations for one shared object (one
@@ -73,7 +63,8 @@ type Collector struct {
 	mu  sync.Mutex
 	ops map[string]*Op
 
-	now func() time.Time // test hook; time.Now in production
+	base  time.Time    // monotonic origin of span timestamps
+	clock func() int64 // test hook replacing now; nil in production
 }
 
 // NewCollector builds a collector for process ids in [0, processes). The
@@ -93,7 +84,7 @@ func NewCollector(processes int, pool *primitive.Pool) *Collector {
 		pool:      pool,
 		shards:    make([]*shard, processes),
 		ops:       make(map[string]*Op),
-		now:       time.Now,
+		base:      time.Now(),
 	}
 	for i := range c.shards {
 		c.shards[i] = &shard{heat: make([]atomic.Int64, heatCap)}
@@ -101,17 +92,27 @@ func NewCollector(processes int, pool *primitive.Pool) *Collector {
 	return c
 }
 
+// now returns the nanoseconds since the collector was built: one monotonic
+// clock reading, where time.Now reads both the wall and the monotonic clock.
+func (c *Collector) now() int64 {
+	if c.clock != nil {
+		return c.clock()
+	}
+	return int64(time.Since(c.base))
+}
+
 // Processes returns the number of process slots.
 func (c *Collector) Processes() int { return c.processes }
 
-// Context wraps inner in an Instrumented context writing to process id's
-// shard. Like every primitive.Context, the result must be used by one
-// goroutine at a time.
-func (c *Collector) Context(id int, inner primitive.Context) *Instrumented {
+// Context returns an Instrumented context issuing process id's steps
+// natively and recording them into id's shard. Like every
+// primitive.Context, the result must be used by one goroutine at a time.
+func (c *Collector) Context(id int) *Instrumented {
 	if id < 0 || id >= c.processes {
 		panic(fmt.Sprintf("obs: Collector.Context(%d): process id out of range [0, %d)", id, c.processes))
 	}
-	return &Instrumented{inner: inner, col: c, sh: c.shards[id], idx: id}
+	sh := c.shards[id]
+	return &Instrumented{d: primitive.NewDirect(id), col: c, sh: sh, idx: id, heat: make([]int64, len(sh.heat))}
 }
 
 // Op returns the named operation's recorder, creating it on first use. Op
@@ -136,7 +137,8 @@ func (c *Collector) Op(name string) *Op {
 
 // Snapshot merges every shard into one consistent-enough view (each counter
 // is read atomically; the set as a whole is not a linearizable cut, which
-// is fine for monitoring).
+// is fine for monitoring). Steps of operations still in flight are not
+// included: each process publishes an operation's steps when it ends.
 func (c *Collector) Snapshot() Stats {
 	st := Stats{}
 	heatCap := 0
@@ -210,82 +212,171 @@ type Op struct {
 func (o *Op) Name() string { return o.name }
 
 // Begin opens a span for one operation issued through ctx. The returned
-// Span must be Ended by the same goroutine.
+// Span must be Ended by the same goroutine before ctx opens another span:
+// spans do not nest.
 func (o *Op) Begin(ctx *Instrumented) Span {
-	sp := Span{op: o, ctx: ctx, startSteps: ctx.sh.steps(), start: ctx.col.now()}
-	if o.bound.Load() != nil {
-		sp.startCASFails = ctx.sh.casFailures.Load()
-	}
-	return sp
+	ctx.open = true
+	return Span{op: o, ctx: ctx, start: ctx.col.now()}
 }
 
 // Span is an in-flight operation measurement.
 type Span struct {
-	op            *Op
-	ctx           *Instrumented
-	startSteps    int64
-	startCASFails int64
-	start         time.Time
+	op    *Op
+	ctx   *Instrumented
+	start int64
 }
 
 // End closes the span, recording the operation's step count and latency,
-// and scoring the step count against the armed bound, if any.
+// scoring the step count against the armed bound, if any, and publishing
+// the operation's counts.
 func (s Span) End() {
-	idx := s.ctx.idx
-	steps := s.ctx.sh.steps() - s.startSteps
-	s.op.steps[idx].Observe(steps)
-	s.op.latency[idx].Observe(s.ctx.col.now().Sub(s.start).Nanoseconds())
+	c := s.ctx
+	latency := c.col.now() - s.start
+	steps := c.pendingSteps()
+	s.op.steps[c.idx].Observe(steps)
+	s.op.latency[c.idx].Observe(latency)
 	if cfg := s.op.bound.Load(); cfg != nil {
-		s.op.observeBound(cfg, idx, steps, s.ctx.sh.casFailures.Load()-s.startCASFails)
+		s.op.observeBound(cfg, c.idx, steps, c.casFailures)
 	}
+	c.open = false
+	c.publish()
 }
 
-// Instrumented is a primitive.Context that records every shared-memory
-// event into its process's shard before delegating to the wrapped context.
-// Overhead per event is a handful of uncontended atomic adds.
-//
-//tradeoffvet:outofband Instrumented is itself a per-process context: the wrapped inner context shares its process identity and call frames
+// Instrumented is a primitive.Context that issues every shared-memory event
+// on the native primitives and counts it. Inside a span the counts go to
+// plain fields owned by the process and reach the process's shard in one
+// publication per operation (see Span.End); outside any span each step
+// publishes at once.
 type Instrumented struct {
-	inner primitive.Context
-	col   *Collector
-	sh    *shard
-	idx   int
+	d   primitive.Direct
+	col *Collector
+	sh  *shard
+	idx int
+
+	// open is set while a span is in flight; steps then accumulate in the
+	// unpublished counts below.
+	open bool
+
+	// Unpublished counts. heat holds per-register deltas indexed by
+	// register id; touched lists the ids whose delta is nonzero.
+	reads, writes, casAttempts int64
+	casFailures, heatOverflow  int64
+	heat                       []int64
+	touched                    []int
+
+	// published is the steps this context has already published.
+	published int64
 }
 
 var _ primitive.Context = (*Instrumented)(nil)
 
 // ID implements primitive.Context.
-func (c *Instrumented) ID() int { return c.inner.ID() }
+func (c *Instrumented) ID() int { return c.idx }
 
 // Read implements primitive.Context.
 func (c *Instrumented) Read(r *primitive.Register) int64 {
-	c.sh.reads.Add(1)
-	c.sh.touch(r.ID())
-	return c.inner.Read(r)
+	v := c.d.Read(r)
+	if !c.open {
+		c.publishStep(&c.sh.reads, r.ID())
+	} else {
+		c.reads++
+		c.touch(r.ID())
+	}
+	return v
 }
 
 // Write implements primitive.Context.
 func (c *Instrumented) Write(r *primitive.Register, v int64) {
-	c.sh.writes.Add(1)
-	c.sh.touch(r.ID())
-	c.inner.Write(r, v)
+	c.d.Write(r, v)
+	if !c.open {
+		c.publishStep(&c.sh.writes, r.ID())
+	} else {
+		c.writes++
+		c.touch(r.ID())
+	}
 }
 
 // CAS implements primitive.Context. A false return is counted as a CAS
 // failure: the register moved under the caller, i.e. contention.
 func (c *Instrumented) CAS(r *primitive.Register, old, new int64) bool {
-	c.sh.casAttempts.Add(1)
-	c.sh.touch(r.ID())
-	ok := c.inner.CAS(r, old, new)
-	if !ok {
-		c.sh.casFailures.Add(1)
+	ok := c.d.CAS(r, old, new)
+	if !c.open {
+		if !ok {
+			c.sh.casFailures.Add(1)
+		}
+		c.publishStep(&c.sh.casAttempts, r.ID())
+	} else {
+		if !ok {
+			c.casFailures++
+		}
+		c.casAttempts++
+		c.touch(r.ID())
 	}
 	return ok
 }
 
-// Steps returns the total shared-memory events recorded on this context's
-// shard (all handles sharing the process id included).
-func (c *Instrumented) Steps() int64 { return c.sh.steps() }
+// publishStep publishes one step issued outside any span on register id:
+// one atomic add to the primitive's shard counter and one to the heat cell.
+func (c *Instrumented) publishStep(counter *atomic.Int64, id int) {
+	counter.Add(1)
+	if uint(id) < uint(len(c.sh.heat)) {
+		c.sh.heat[id].Add(1)
+	} else {
+		c.sh.heatOverflow.Add(1)
+	}
+	c.published++
+}
+
+// touch counts one in-span access to register id in the heat deltas, or
+// in the overflow count for ids allocated after the collector was built
+// (e.g. by lazily-growing objects).
+func (c *Instrumented) touch(id int) {
+	heat := c.heat
+	if uint(id) >= uint(len(heat)) {
+		c.heatOverflow++
+		return
+	}
+	if heat[id] == 0 {
+		c.touched = append(c.touched, id)
+	}
+	heat[id]++
+}
+
+// pendingSteps returns the steps counted but not yet published.
+func (c *Instrumented) pendingSteps() int64 { return c.reads + c.writes + c.casAttempts }
+
+// publish moves the unpublished counts to the shard: one atomic add per
+// nonzero counter and one per distinct register touched.
+func (c *Instrumented) publish() {
+	sh := c.sh
+	if c.reads != 0 {
+		sh.reads.Add(c.reads)
+	}
+	if c.writes != 0 {
+		sh.writes.Add(c.writes)
+	}
+	if c.casAttempts != 0 {
+		sh.casAttempts.Add(c.casAttempts)
+	}
+	if c.casFailures != 0 {
+		sh.casFailures.Add(c.casFailures)
+	}
+	if c.heatOverflow != 0 {
+		sh.heatOverflow.Add(c.heatOverflow)
+	}
+	for _, id := range c.touched {
+		sh.heat[id].Add(c.heat[id])
+		c.heat[id] = 0
+	}
+	c.touched = c.touched[:0]
+	c.published += c.pendingSteps()
+	c.reads, c.writes, c.casAttempts, c.casFailures, c.heatOverflow = 0, 0, 0, 0, 0
+}
+
+// Steps returns the shared-memory events issued through this context,
+// including those of a span still in flight. Like the context itself, it
+// belongs to the owning goroutine.
+func (c *Instrumented) Steps() int64 { return c.published + c.pendingSteps() }
 
 // Stats is a merged view of a Collector.
 type Stats struct {

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/restricteduse/tradeoffs/internal/primitive"
 )
@@ -15,7 +14,7 @@ func TestInstrumentedCountsExactly(t *testing.T) {
 	b := pool.New("b", 0)
 
 	col := NewCollector(2, pool)
-	ctx := col.Context(0, primitive.NewDirect(0))
+	ctx := col.Context(0)
 
 	if got := ctx.ID(); got != 0 {
 		t.Fatalf("ID = %d, want 0", got)
@@ -64,7 +63,7 @@ func TestLateRegistersLandInOverflow(t *testing.T) {
 	early := pool.New("early", 0)
 
 	col := NewCollector(1, pool)
-	ctx := col.Context(0, primitive.NewDirect(0))
+	ctx := col.Context(0)
 
 	late := pool.New("late", 0) // allocated after the collector sized its heatmap
 	ctx.Read(early)
@@ -114,7 +113,7 @@ func TestShardedMergeUnderRace(t *testing.T) {
 		writers.Add(1)
 		go func(p int) {
 			defer writers.Done()
-			ctx := col.Context(p, primitive.NewDirect(p))
+			ctx := col.Context(p)
 			for i := 0; i < perProc; i++ {
 				sp := op.Begin(ctx)
 				r := regs[i%len(regs)]
@@ -162,10 +161,9 @@ func TestOpSpanRecordsSteps(t *testing.T) {
 	r := pool.New("r", 0)
 	col := NewCollector(1, pool)
 	// Freeze the clock so the latency histogram is deterministic too.
-	fixed := time.Unix(0, 0)
-	col.now = func() time.Time { return fixed }
+	col.clock = func() int64 { return 0 }
 
-	ctx := col.Context(0, primitive.NewDirect(0))
+	ctx := col.Context(0)
 	op := col.Op("probe")
 
 	sp := op.Begin(ctx)
@@ -212,5 +210,92 @@ func TestContextRejectsBadID(t *testing.T) {
 			t.Fatal("Context(2) did not panic")
 		}
 	}()
-	col.Context(2, primitive.NewDirect(2))
+	col.Context(2)
+}
+
+// TestSpanPublishesOnceAtEnd pins the publish-once contract: a span's
+// steps stay off the shard while it is open and land exactly, heatmap and
+// overflow included, when it ends.
+func TestSpanPublishesOnceAtEnd(t *testing.T) {
+	pool := primitive.NewPool()
+	a := pool.New("a", 0)
+	b := pool.New("b", 0)
+	col := NewCollector(2, pool)
+	late := pool.New("late", 0) // beyond the heatmap: counts as overflow
+	ctx := col.Context(1)
+	op := col.Op("probe")
+
+	sp := op.Begin(ctx)
+	ctx.Write(a, 1)
+	ctx.Read(a)
+	ctx.Read(b)
+	if ctx.CAS(a, 0, 2) {
+		t.Fatal("stale CAS succeeded")
+	}
+	if !ctx.CAS(a, 1, 2) {
+		t.Fatal("CAS(a, 1, 2) failed")
+	}
+	ctx.Read(late)
+	ctx.Write(late, 3)
+
+	if got := ctx.Steps(); got != 7 {
+		t.Fatalf("in-flight Steps = %d, want 7", got)
+	}
+	if st := col.Snapshot(); st.Reads+st.Writes+st.CASAttempts != 0 || len(st.Registers) != 0 || st.HeatOverflow != 0 {
+		t.Fatalf("in-flight span visible before End: %+v", st)
+	}
+
+	sp.End()
+	st := col.Snapshot()
+	if st.Reads != 3 || st.Writes != 2 || st.CASAttempts != 2 || st.CASFailures != 1 {
+		t.Fatalf("counters = reads %d writes %d cas %d casFail %d, want 3 2 2 1",
+			st.Reads, st.Writes, st.CASAttempts, st.CASFailures)
+	}
+	if st.HeatOverflow != 2 {
+		t.Fatalf("HeatOverflow = %d, want 2", st.HeatOverflow)
+	}
+	if len(st.Registers) != 2 || st.Registers[0].ID != a.ID() || st.Registers[0].Accesses != 4 ||
+		st.Registers[1].ID != b.ID() || st.Registers[1].Accesses != 1 {
+		t.Fatalf("heatmap = %+v, want a:4 b:1", st.Registers)
+	}
+	steps := st.Ops[0].Steps
+	if steps.Count != 1 || steps.Sum != 7 || steps.Buckets[bucketIndex(7)] != 1 {
+		t.Fatalf("Steps = %+v, want one observation of 7", steps)
+	}
+	if got := ctx.Steps(); got != 7 {
+		t.Fatalf("Steps after End = %d, want 7", got)
+	}
+
+	// A second span re-uses the cleared deltas: nothing is published twice.
+	sp = op.Begin(ctx)
+	ctx.Read(b)
+	sp.End()
+	st = col.Snapshot()
+	if st.Reads != 4 || st.Registers[0].Accesses != 4 || st.Registers[1].Accesses != 2 {
+		t.Fatalf("after second span: reads %d heatmap %+v, want 4 and a:4 b:2", st.Reads, st.Registers)
+	}
+}
+
+// TestSpanDoesNotAllocate: once a context is warm, a whole operation —
+// Begin, steps, bound scoring, End and its publication — allocates nothing.
+func TestSpanDoesNotAllocate(t *testing.T) {
+	pool := primitive.NewPool()
+	regs := pool.NewSlice("r", 4, 0)
+	col := NewCollector(1, pool)
+	col.SetOpBound("op", OpBoundConfig{Worst: 100, Uncontended: 2})
+	ctx := col.Context(0)
+	op := col.Op("op")
+	run := func() {
+		sp := op.Begin(ctx)
+		for _, r := range regs {
+			v := ctx.Read(r)
+			ctx.CAS(r, v, v+1)
+		}
+		ctx.Write(regs[0], 0)
+		sp.End()
+	}
+	run() // warm the touched list
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("span allocates %.1f times per operation, want 0", allocs)
+	}
 }

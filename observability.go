@@ -27,9 +27,12 @@ import (
 //
 // Instrumented objects record, per object: shared-memory events by
 // primitive, CAS failures (contention), log2 histograms of steps-per-op
-// and latency per operation, and a per-register access heatmap. Recording
-// is sharded per process id and merged at scrape time, so the hot path
-// pays only uncontended atomic adds. See docs/observability.md.
+// and latency per operation, and a per-register access heatmap. Each
+// handle counts an operation's steps in memory only it touches and
+// publishes them to its process's shard when the operation ends; shards
+// are merged at scrape time. A scrape therefore sees an operation's steps
+// once it completes, and counts are exact at quiescence. See
+// docs/observability.md.
 type Observability struct {
 	mu       sync.Mutex
 	order    []string

@@ -286,9 +286,13 @@ func checkHandleID(family string, id, processes int) {
 //
 //tradeoffvet:outofband a handle is itself the per-process capability: it owns exactly one process's context and never crosses goroutines
 type handle struct {
-	ctx      primitive.Context
-	counting *primitive.Counting
-	inst     *obs.Instrumented
+	ctx  primitive.Context
+	inst *obs.Instrumented
+
+	// steps serves Steps: the Counting wrapper, or, when the object is
+	// observed, the instrumented context, which already counts every step.
+	// Nil without WithStepCounting.
+	steps interface{ Steps() int64 }
 
 	// ftap streams the handle's operations to a flight recorder; fid is
 	// the process id the tap records them under. Nil when the object was
@@ -299,14 +303,16 @@ type handle struct {
 
 func newHandle(id int, counting bool, col *obs.Collector, ftap *flight.Tap) handle {
 	h := handle{ctx: primitive.NewDirect(id), ftap: ftap, fid: id}
-	if col != nil {
-		h.inst = col.Context(id, h.ctx)
+	switch {
+	case col != nil:
+		h.inst = col.Context(id)
 		h.ctx = h.inst
-	}
-	if counting {
+		if counting {
+			h.steps = h.inst
+		}
+	case counting:
 		c := primitive.NewCounting(h.ctx)
-		h.ctx = c
-		h.counting = c
+		h.ctx, h.steps = c, c
 	}
 	return h
 }
@@ -314,10 +320,10 @@ func newHandle(id int, counting bool, col *obs.Collector, ftap *flight.Tap) hand
 // Steps reports shared-memory events issued through the handle, or 0 if the
 // object was built without WithStepCounting.
 func (h handle) Steps() int64 {
-	if h.counting == nil {
+	if h.steps == nil {
 		return 0
 	}
-	return h.counting.Steps()
+	return h.steps.Steps()
 }
 
 // MaxRegister is a linearizable max register. Construct with
