@@ -28,7 +28,7 @@ func (e *BudgetError) Error() string {
 // invoking check on each completed execution, and returns how many
 // executions it visited.
 //
-// Goroutine state cannot be forked, so exploration replays prefixes: for
+// A process's coroutine cannot be forked, so exploration replays prefixes: for
 // each tree node the system is rebuilt from scratch and driven down the
 // prefix. build must therefore be deterministic (same programs, same
 // registers) — the same requirement the adversary's erase-and-replay

@@ -56,8 +56,9 @@ type Build func(rec *Recycler) (*System, error)
 // subtrees). It returns how many complete executions were visited.
 //
 // Two forms of replay reuse cut the per-node rebuild cost. Each worker
-// recycles System scaffolding and its register pool through its Recycler
-// (see Build). And each rebuild is driven all the way to a leaf: at every
+// recycles System scaffolding, its processes' coroutines and its register
+// pool through its Recycler (see Build), and closes the Recycler before
+// ExploreParallel returns, on every path. And each rebuild is driven all the way to a leaf: at every
 // interior node the worker pushes all children but the last onto its deque
 // and *steps the live system* into the last child instead of rebuilding —
 // so the number of rebuilds equals the number of complete executions, not
@@ -108,6 +109,9 @@ func ExploreParallel(build Build, check func(*System) error, opts Options) (int,
 		}(i)
 	}
 	wg.Wait()
+	for _, w := range e.pool {
+		w.rec.Close()
+	}
 
 	execs := int(e.execs.Load())
 	e.errMu.Lock()
@@ -143,8 +147,8 @@ type frontierNode struct {
 
 // exploreWorker owns one deque of frontier nodes and one recycler. The
 // deque is mutex-guarded: the owner touches it once per interior node and
-// thieves only when idle, so contention is negligible next to the channel
-// rendezvous of replaying a prefix.
+// thieves only when idle, so contention is negligible next to replaying a
+// prefix.
 type exploreWorker struct {
 	mu    sync.Mutex
 	deque []frontierNode
@@ -202,9 +206,8 @@ func (e *exploreEngine) run(idx int) {
 			if e.outstanding.Load() == 0 {
 				return
 			}
-			// Another worker holds the remaining frontier in flight; yield
-			// rather than spin so the simulated process goroutines get the
-			// cores.
+			// Another worker holds the remaining frontier in flight; sleep
+			// rather than spin so the busy workers get the cores.
 			time.Sleep(10 * time.Microsecond)
 			continue
 		}

@@ -209,9 +209,9 @@ func TestExploreParallelBudgetErrorShutdown(t *testing.T) {
 			be.Prefix, len(s.Events()), s.Active())
 	}
 
-	// Worker pool and simulated processes must all have exited. Goroutine
-	// teardown is asynchronous after Shutdown returns the channels, so poll
-	// briefly before declaring a leak.
+	// Worker pool and simulated processes must all have exited. A worker
+	// goroutine exits just after signalling it is done, so poll briefly
+	// before declaring a leak.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if runtime.NumGoroutine() <= before {

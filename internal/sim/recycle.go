@@ -5,21 +5,25 @@ import (
 )
 
 // A Recycler caches the allocation-heavy scaffolding of released Systems —
-// event logs, schedule slices, process shells with their response channels,
+// event logs, schedule slices, process shells with their parked coroutines,
 // and one reusable register pool — so an exploration engine rebuilding
-// thousands of systems per second reuses storage instead of hammering the
-// allocator. Exploration builds are deterministic, which is exactly what
-// makes reuse sound: every cycle allocates the same registers in the same
-// order and spawns the same processes.
+// thousands of systems per second reuses storage, and starts one coroutine
+// per process id instead of one per rebuild. Exploration builds are
+// deterministic, which is exactly what makes reuse sound: every cycle
+// allocates the same registers in the same order and spawns the same
+// processes.
+//
+// The coroutines outlive the systems that use them: Close ends them.
 //
 // A Recycler is NOT safe for concurrent use. ExploreParallel gives each
-// worker its own.
+// worker its own, and closes it when the exploration returns.
 //
 // A Recycler is scheduler-side scaffolding reuse; no model step is involved.
 type Recycler struct {
-	shells []systemShell
-	procs  []*proc
-	pool   *primitive.Pool
+	shells  []systemShell
+	procs   []*proc // idle shells, their coroutines parked
+	started []*proc // every shell this recycler has started, for Close
+	pool    *primitive.Pool
 }
 
 // systemShell is the reusable storage of one released System.
@@ -37,7 +41,7 @@ func NewRecycler() *Recycler { return &Recycler{} }
 // the recycler and whose log storage reuses that of previously Released
 // systems. Behavior is identical to NewSystem; only allocation differs.
 func (r *Recycler) NewSystem() *System {
-	s := &System{kill: make(chan struct{}), rec: r}
+	s := &System{rec: r}
 	if n := len(r.shells); n > 0 {
 		sh := r.shells[n-1]
 		r.shells = r.shells[:n-1]
@@ -68,18 +72,20 @@ func (r *Recycler) Pool() *primitive.Pool {
 // system, its event log, its schedule, and any registers allocated from the
 // recycler's pool must not be used afterwards: the next build cycle
 // overwrites them. Systems built outside the recycler may be Released too —
-// their scaffolding is simply adopted.
+// their log storage is simply adopted.
 func (r *Recycler) Release(s *System) {
 	s.Shutdown()
 	for id, p := range s.procs {
-		// The response channel is unbuffered and every goroutine has
-		// exited, so the shell is quiescent; only reqCh (closed by the
-		// program goroutine) must be reallocated, which Spawn does.
-		p.reqCh = nil
-		p.pending = nil
-		p.done = false
-		p.steps = 0
-		r.procs = append(r.procs, p)
+		// Every program has returned or been unwound. This recycler's
+		// shells have parked their coroutines for the next program; the
+		// coroutines of any other system's processes have exited.
+		if s.rec == r {
+			p.program = nil
+			p.pending = Pending{}
+			p.done = false
+			p.steps = 0
+			r.procs = append(r.procs, p)
+		}
 		delete(s.procs, id)
 	}
 	r.shells = append(r.shells, systemShell{
@@ -94,12 +100,27 @@ func (r *Recycler) Release(s *System) {
 	s.schedule = nil
 }
 
-// getProc pops a cached process shell, or returns nil when none is cached.
-func (r *Recycler) getProc() *proc {
+// Close stops every coroutine the recycler started, unwinding the programs
+// of systems built from it and never Released. Neither the recycler nor
+// those systems may be used afterwards.
+func (r *Recycler) Close() {
+	for _, p := range r.started {
+		p.stop()
+	}
+	r.started = nil
+	r.procs = nil
+}
+
+// proc pops a cached process shell, or starts a new one whose coroutine
+// parks between programs.
+func (r *Recycler) proc() *proc {
 	if n := len(r.procs); n > 0 {
 		p := r.procs[n-1]
 		r.procs = r.procs[:n-1]
 		return p
 	}
-	return nil
+	p := new(proc)
+	p.start(true)
+	r.started = append(r.started, p)
+	return p
 }

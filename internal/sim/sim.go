@@ -1,14 +1,16 @@
 // Package sim is a deterministic shared-memory execution simulator
 // implementing the model of Hendler & Khait (PODC 2014, Section 2).
 //
-// Simulated processes are goroutines running ordinary algorithm code
+// Each simulated process is a coroutine running ordinary algorithm code
 // against a primitive.Context; before every shared-memory event the process
 // publishes the event it is about to apply (object, primitive, operands)
-// and blocks until a scheduler grants it. The scheduler therefore sees the
+// and suspends until a scheduler grants it. The scheduler therefore sees the
 // full set of *enabled events* — exactly the information the paper's
 // adversary constructions (Lemma 1, Theorems 1 and 3) act on — and executes
 // events one at a time, producing a totally ordered execution with a
-// complete event log.
+// complete event log. Control passes between the scheduler and a process by
+// a direct coroutine switch (iter.Pull): only one of them runs at a time,
+// and a step costs no goroutine wake-up and no channel operation.
 //
 // Executions are deterministic: the same programs driven by the same
 // schedule (sequence of process ids) produce the same events and responses.
@@ -21,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/restricteduse/tradeoffs/internal/primitive"
 )
@@ -104,12 +105,21 @@ type procResp struct {
 }
 
 type proc struct {
-	id      int
-	reqCh   chan Pending
-	respCh  chan procResp
-	pending *Pending
-	done    bool
-	steps   int
+	id       int
+	program  Program
+	pending  Pending     // the enabled event, while !done
+	resp     procResp    // the response to the granted event, read by issue
+	done     bool        // the program returned, panicked, or was unwound
+	killed   bool        // Shutdown is unwinding the program
+	panicked *PanicError // the program's panic, until pump reports it
+	steps    int
+
+	// The coroutine running program (see start): next runs it until the
+	// program publishes its next event or returns, yield suspends it from
+	// inside, and stop ends it for good.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 }
 
 // System owns a set of simulated processes and the execution they build.
@@ -120,77 +130,90 @@ type System struct {
 	events   []Event
 	schedule []int
 	observer func(Event)
-	kill     chan struct{}
-	killOnce sync.Once
-	wg       sync.WaitGroup
 
 	// rec, when non-nil, is the Recycler this system draws cached process
 	// shells from (see Recycler.NewSystem); plain NewSystem leaves it nil.
 	rec *Recycler
 }
 
-// errKilled unwinds process goroutines at shutdown.
+// errKilled unwinds a process's program at shutdown.
 var errKilled = errors.New("sim: system shut down")
 
 // ErrFinished is returned by Step for processes whose program has returned.
 var ErrFinished = errors.New("sim: process has finished")
 
-// NewSystem returns an empty system.
-func NewSystem() *System {
-	return &System{
-		procs: make(map[int]*proc),
-		kill:  make(chan struct{}),
-	}
+// PanicError reports that a process's program panicked. The process counts
+// as finished. Schedule is the execution's schedule when the panic
+// happened — it ends with the step whose response the program panicked on,
+// if any — so running it on a freshly built system reproduces the panic.
+type PanicError struct {
+	Proc     int
+	Value    any // what the program panicked with
+	Schedule []int
 }
 
-// Spawn starts a process with the given id running program, and blocks
+// Error implements error.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("sim: process %d panicked after schedule %v: %v", e.Proc, e.Schedule, e.Value)
+}
+
+// Unwrap returns the panic value if it is an error: programs commonly
+// panic with an error they have no way to return.
+func (e *PanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
+// NewSystem returns an empty system.
+func NewSystem() *System {
+	return &System{procs: make(map[int]*proc)}
+}
+
+// Spawn starts a process with the given id running program, and runs it
 // until its first enabled event is published (or the program returns
-// without issuing any event).
+// without issuing any event). If the program panics first, Spawn returns a
+// *PanicError.
 func (s *System) Spawn(id int, program Program) error {
 	if _, dup := s.procs[id]; dup {
 		return fmt.Errorf("sim: process %d already spawned", id)
 	}
 	var p *proc
 	if s.rec != nil {
-		p = s.rec.getProc()
-	}
-	if p == nil {
-		p = &proc{respCh: make(chan procResp)}
+		p = s.rec.proc()
+	} else {
+		p = new(proc)
+		p.start(false)
 	}
 	p.id = id
-	// The request channel cannot be recycled: the process goroutine closes
-	// it when its program returns.
-	p.reqCh = make(chan Pending)
+	p.program = program
 	s.procs[id] = p
 	s.order = append(s.order, id)
-
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer close(p.reqCh)
-		defer func() {
-			if r := recover(); r != nil && r != errKilled { //nolint:errorlint // sentinel identity
-				panic(r)
-			}
-		}()
-		program(simCtx{p: p, sys: s})
-	}()
-
-	s.pump(p)
-	return nil
+	return s.pump(p)
 }
 
-// pump receives the process's next enabled event (blocking until the
-// process publishes one or its program returns).
-func (s *System) pump(p *proc) {
-	req, ok := <-p.reqCh
-	if !ok {
+// run executes p.program on p's coroutine. A panic other than the
+// shutdown unwind is kept for pump to report.
+func (p *proc) run() {
+	defer func() {
 		p.done = true
-		p.pending = nil
-		return
+		if r := recover(); r != nil && r != errKilled { //nolint:errorlint // sentinel identity
+			p.panicked = &PanicError{Proc: p.id, Value: r}
+		}
+	}()
+	p.program(simCtx{p})
+}
+
+// pump resumes p until it publishes its next enabled event or its program
+// ends, and reports a panic that ended it.
+func (s *System) pump(p *proc) error {
+	p.next()
+	pe := p.panicked
+	if pe == nil {
+		return nil
 	}
-	req.Proc = p.id
-	p.pending = &req
+	p.panicked = nil
+	pe.Schedule = append([]int(nil), s.schedule...)
+	return pe
 }
 
 // Enabled returns the enabled events of all active processes, ordered by
@@ -199,7 +222,7 @@ func (s *System) Enabled() []Pending {
 	ids := s.Active()
 	out := make([]Pending, 0, len(ids))
 	for _, id := range ids {
-		out = append(out, *s.procs[id].pending)
+		out = append(out, s.procs[id].pending)
 	}
 	return out
 }
@@ -211,7 +234,7 @@ func (s *System) EnabledOf(id int) (Pending, bool) {
 	if !ok || p.done {
 		return Pending{}, false
 	}
-	return *p.pending, true
+	return p.pending, true
 }
 
 // Active returns the ids of spawned, unfinished processes in ascending
@@ -260,7 +283,9 @@ func WouldChange(p Pending) bool {
 }
 
 // Step applies process id's enabled event, appends it to the execution, and
-// blocks until the process publishes its next event (or finishes).
+// runs the process until it publishes its next event (or finishes). If the
+// program panics on the event's response, Step returns the applied event
+// together with a *PanicError.
 //
 //tradeoffvet:outofband the scheduler IS the shared memory here: it applies each event with direct register access and accounts the step itself
 func (s *System) Step(id int) (Event, error) {
@@ -272,7 +297,7 @@ func (s *System) Step(id int) (Event, error) {
 		return Event{}, fmt.Errorf("sim: step process %d: %w", id, ErrFinished)
 	}
 
-	pd := *p.pending
+	pd := p.pending
 	before := pd.Reg.Load()
 	var (
 		after = before
@@ -314,9 +339,8 @@ func (s *System) Step(id int) (Event, error) {
 		s.observer(ev)
 	}
 
-	p.respCh <- resp
-	s.pump(p)
-	return ev, nil
+	p.resp = resp
+	return ev, s.pump(p)
 }
 
 // Run applies a whole schedule (sequence of process ids), stopping at the
@@ -369,18 +393,24 @@ func (s *System) Events() []Event { return s.events }
 // not modify it).
 func (s *System) Schedule() []int { return s.schedule }
 
-// Shutdown terminates all process goroutines and waits for them to exit.
-// The system must not be used afterwards.
+// Shutdown unwinds every process still inside its program, running the
+// program's deferred calls (a step one of them issues unwinds too, and a
+// panic one of them raises is dropped); the process's coroutine then
+// exits, or parks for its next program if it belongs to a Recycler. The
+// system must not be used afterwards; calling Shutdown again does nothing.
 func (s *System) Shutdown() {
-	s.killOnce.Do(func() { close(s.kill) })
-	s.wg.Wait()
+	for _, id := range s.order {
+		p := s.procs[id]
+		p.killed = true
+		for !p.done {
+			p.next()
+		}
+		p.killed, p.panicked = false, nil
+	}
 }
 
-// simCtx adapts the scheduler rendezvous to primitive.Context.
-type simCtx struct {
-	p   *proc
-	sys *System
-}
+// simCtx adapts the scheduler handoff to primitive.Context.
+type simCtx struct{ p *proc }
 
 var _ primitive.Context = simCtx{}
 
@@ -402,16 +432,15 @@ func (c simCtx) CAS(r *primitive.Register, old, new int64) bool {
 	return c.issue(Pending{Kind: OpCAS, Reg: r, Old: old, New: new}).ok
 }
 
+// issue publishes pd as the process's enabled event and suspends the
+// process until the scheduler has applied it (Step) or unwinds it
+// (Shutdown, or Recycler.Close stopping the coroutine).
 func (c simCtx) issue(pd Pending) procResp {
-	select {
-	case c.p.reqCh <- pd:
-	case <-c.sys.kill:
+	p := c.p
+	pd.Proc = p.id
+	p.pending = pd
+	if !p.yield(struct{}{}) || p.killed {
 		panic(errKilled)
 	}
-	select {
-	case resp := <-c.p.respCh:
-		return resp
-	case <-c.sys.kill:
-		panic(errKilled)
-	}
+	return p.resp
 }
