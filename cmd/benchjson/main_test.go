@@ -139,24 +139,27 @@ var (
 func TestRunGateAgainstFiles(t *testing.T) {
 	dir := t.TempDir()
 	base := tinyReport(t)
-	// Pin the flight rows' wall-clock readings: at 50 ops the measured
-	// sampled/off ratio is pure noise, and this test gates thresholds, not
-	// the recorder.
+	// Pin the flight and bounds rows' wall-clock readings: at 50 ops the
+	// measured sampled/off and margin/off ratios are pure noise, and this
+	// test gates thresholds, not the recorder or the bound scoring.
 	for i := range base.Results {
 		switch base.Results[i].Name {
-		case "counter/farray/increment/flight-off":
+		case "counter/farray/increment/flight-off", "counter/farray/increment/bounds-off":
 			base.Results[i].NsPerOp = 400
 		case "counter/farray/increment/flight-sampled":
 			base.Results[i].NsPerOp = 440
+		case "counter/farray/increment/bounds-margin":
+			base.Results[i].NsPerOp = 412
 		}
 	}
 	basePath := writeReport(t, dir, "base.json", base)
 
-	regressed := tinyReport(t)
+	regressed := *base
+	regressed.Results = append([]bench.Result(nil), base.Results...)
 	for i := range regressed.Results {
 		regressed.Results[i].NsPerOp *= 10
 	}
-	regPath := writeReport(t, dir, "regressed.json", regressed)
+	regPath := writeReport(t, dir, "regressed.json", &regressed)
 	deltaPath := filepath.Join(dir, "delta.json")
 
 	// Gating a file against itself passes without running the suite.

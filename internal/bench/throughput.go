@@ -564,7 +564,7 @@ func RunThroughput(cfg ThroughputConfig) (*Report, error) {
 	}
 
 	// Corollary 1 reduction. The f-array snapshot's view arena grows with
-	// its update limit, so cap the op count to keep memory flat.
+	// every update, so cap the op count to keep memory flat.
 	{
 		snapOps := capOps(cfg.OpsPerProc, procs, 1<<17)
 		pool := primitive.NewPadded()

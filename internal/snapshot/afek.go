@@ -15,20 +15,14 @@ import (
 // scanner's interval.
 //
 // Both Scan and Update are O(N^2) steps worst case (O(N) when
-// uncontended). Update capacity is restricted by the view arena (the
+// uncontended). Update capacity is restricted by the cell arena (the
 // object is built for a declared number of updates), in the same spirit as
 // the paper's restricted-use objects.
 type Afek struct {
 	n     int
-	segs  []*primitive.Register // arena indices
-	cells *arena[afekCell]
+	segs  []*primitive.Register // cell offsets
+	cells *words                // cells: n+2-word records [value, seq, view...]
 	limit int64
-}
-
-type afekCell struct {
-	value int64
-	seq   int64
-	view  []int64 // immutable once published
 }
 
 var _ Snapshot = (*Afek)(nil)
@@ -42,15 +36,13 @@ func NewAfek(pool *primitive.Pool, n int, maxUpdates int64) (*Afek, error) {
 	if maxUpdates < 0 {
 		return nil, fmt.Errorf("snapshot: negative update limit %d", maxUpdates)
 	}
+	width := int64(n + 2)
 	s := &Afek{
 		n:     n,
-		cells: newArena[afekCell](1 + maxUpdates),
+		cells: &words{limit: wordBudget(width, maxUpdates, width)},
 		limit: maxUpdates,
 	}
-	zero := &afekCell{view: make([]int64, n)}
-	if _, ok := s.cells.alloc(zero); !ok {
-		return nil, fmt.Errorf("snapshot: arena capacity too small")
-	}
+	s.cells.reserve(n + 2)                   // the all-zero cell at offset 0
 	s.segs = pool.NewSlice("afek.seg", n, 0) // all point at the zero cell
 	return s, nil
 }
@@ -66,12 +58,14 @@ func (s *Afek) Update(ctx primitive.Context, v int64) error {
 		return err
 	}
 	view := s.scan(ctx)
-	old := s.cells.get(ctx.Read(s.segs[id]))
-	idx, ok := s.cells.alloc(&afekCell{value: v, seq: old.seq + 1, view: view})
+	oldSeq := s.cell(ctx.Read(s.segs[id]))[1]
+	off, cell, ok := s.cells.reserve(s.n + 2)
 	if !ok {
 		return &CapacityError{Object: "afek snapshot", Limit: s.limit}
 	}
-	ctx.Write(s.segs[id], idx)
+	cell[0], cell[1] = v, oldSeq+1
+	copy(cell[2:], view)
+	ctx.Write(s.segs[id], off)
 	return nil
 }
 
@@ -100,16 +94,15 @@ func (s *Afek) scan(ctx primitive.Context) []int64 {
 				// Segment i moved twice during this scan: the second
 				// cell's embedded view was collected entirely within
 				// our interval.
-				borrowed := s.cells.get(cur[i]).view
 				out := make([]int64, s.n)
-				copy(out, borrowed)
+				copy(out, s.cell(cur[i])[2:])
 				return out
 			}
 		}
 		if !dirty {
 			out := make([]int64, s.n)
-			for i, idx := range cur {
-				out[i] = s.cells.get(idx).value
+			for i, off := range cur {
+				out[i] = s.cell(off)[0]
 			}
 			return out
 		}
@@ -125,8 +118,7 @@ func (s *Afek) collect(ctx primitive.Context) []int64 {
 	return idxs
 }
 
-// UpdatesRemaining reports how many more Update operations the arena can
-// accommodate.
-func (s *Afek) UpdatesRemaining() int64 {
-	return s.cells.capacity() - s.cells.used()
+// cell returns the n+2-word record [value, seq, view...] at offset off.
+func (s *Afek) cell(off int64) []int64 {
+	return s.cells.view(off, s.n+2)
 }

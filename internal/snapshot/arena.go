@@ -1,89 +1,123 @@
 package snapshot
 
 import (
-	"sync/atomic" //tradeoffvet:outofband arena plumbing models the literature's big-register assumption; indices published through model registers carry the ordering
+	"math"
+	"math/bits"
+	"sync/atomic" //tradeoffvet:outofband arena plumbing models the literature's big-register assumption; offsets published through model registers carry the ordering
 )
 
-// arena is an append-only, fixed-capacity store of immutable values.
-// Registers hold arena indices instead of the values themselves: this
-// models the literature's big-register assumption with word-sized base
-// objects. Indices are handed out once and never reused, so a CAS on an
-// index register can never suffer ABA — it behaves like LL/SC.
+// words is the append-only word arena behind the literature's big-register
+// assumption. A view (an f-array node's partial snapshot, an Afek cell's
+// value, seq and embedded view) is a run of int64 words; a register holds
+// the view's word offset instead of the view itself, so every base object
+// stays word-sized. Offsets are handed out once and never reused, so a CAS
+// on an offset register can never suffer ABA: it behaves like LL/SC.
 //
-// Storage is chunked and allocated lazily, so a large declared capacity
-// (the restricted-use budget) costs memory only as it is consumed.
+// Reserving a view is one atomic add on the bump pointer. The words live in
+// chunks of 2^chunkBits pointer-free words that the GC never scans. The
+// reserved ranges partition the offsets, so exactly one view contains each
+// chunk's last word and the next chunk's first: that view lives whole in
+// its chunk's tail, a slice of its own, and the offsets it covers in the
+// next chunk are never used. Chunks are found through a directory of
+// buckets that double in size (bucket b holds 2^b chunks), created on
+// first use; the directory, like the chunks, grows with the words actually
+// reserved, not with the declared limit.
 //
-// Publication safety: a writer fully populates slot idx before publishing
-// idx through an atomic register operation, and readers obtain idx from an
-// atomic read, so the slot contents are visible by release/acquire
-// ordering. An allocated-but-never-published slot (failed CAS) is simply
-// garbage.
+// Publication safety: a writer fills its reserved view with plain stores
+// and then publishes the offset through an atomic register operation;
+// readers obtain the offset from an atomic read, so the words are visible
+// by release/acquire ordering. A published view is never written again. A
+// reserved view whose offset is never published (a failed CAS) is garbage.
 //
-//tradeoffvet:outofband slot storage behind the big-register abstraction: allocation and retrieval are not shared-memory steps, only the index registers are
-type arena[T any] struct {
-	chunks   []atomic.Pointer[arenaChunk[T]]
-	next     atomic.Int64
-	capLimit int64
+//tradeoffvet:outofband view storage behind the big-register abstraction: reserving and reading views are not shared-memory steps, only the offset registers are
+type words struct {
+	buckets [64 - chunkBits]atomic.Pointer[[]atomic.Pointer[chunk]]
+	next    atomic.Int64
+	limit   int64 // word budget: reservations ending past it fail
 }
 
-const arenaChunkBits = 13 // 8192 slots per chunk
+const chunkBits = 13 // 8192 words: 64 KiB, a whole number of heap pages
 
-// arenaChunk is one lazily-allocated block of slots.
+// chunk holds the views that start in it: those that fit in words, and the
+// one that runs past its end in tail.
 //
-//tradeoffvet:outofband slot storage behind the big-register abstraction (see arena)
-type arenaChunk[T any] struct {
-	slots [1 << arenaChunkBits]atomic.Pointer[T]
+//tradeoffvet:outofband view storage behind the big-register abstraction (see words)
+type chunk struct {
+	words *[1 << chunkBits]int64
+	tail  atomic.Pointer[[]int64]
 }
 
-// newArena sizes the chunk directory for capacity slots.
-//
-//tradeoffvet:outofband slot storage behind the big-register abstraction (see arena)
-func newArena[T any](capacity int64) *arena[T] {
-	chunkCount := (capacity + (1 << arenaChunkBits) - 1) >> arenaChunkBits
-	return &arena[T]{
-		chunks:   make([]atomic.Pointer[arenaChunk[T]], chunkCount),
-		capLimit: capacity,
+// reserve allocates a fresh, zeroed view of w words and returns its offset
+// and the view, or false if the arena's budget is spent. The view's cap
+// equals its len.
+func (a *words) reserve(w int) (int64, []int64, bool) {
+	end := a.next.Add(int64(w))
+	off := end - int64(w)
+	if end > a.limit {
+		return 0, nil, false
 	}
+	c := a.chunk(off)
+	if c == nil {
+		c = a.create(off)
+	}
+	if lo := int(off & (1<<chunkBits - 1)); lo+w <= 1<<chunkBits {
+		return off, c.words[lo : lo+w : lo+w], true
+	}
+	tail := make([]int64, w)
+	c.tail.Store(&tail)
+	return off, tail, true
 }
 
-// alloc stores v in a fresh slot and returns its index, or false if the
-// arena is exhausted.
-func (a *arena[T]) alloc(v *T) (int64, bool) {
-	idx := a.next.Add(1) - 1
-	if idx >= a.capLimit {
-		return 0, false
+// view returns the w-word view published at offset off. Its cap equals
+// its len, so a caller's append copies instead of writing into the arena.
+func (a *words) view(off int64, w int) []int64 {
+	c := a.chunk(off)
+	if lo := int(off & (1<<chunkBits - 1)); lo+w <= 1<<chunkBits {
+		return c.words[lo : lo+w : lo+w]
 	}
-	chunk := a.chunk(idx >> arenaChunkBits)
-	chunk.slots[idx&(1<<arenaChunkBits-1)].Store(v)
-	return idx, true
+	return *c.tail.Load()
 }
 
-// chunk returns chunk ci, creating it on first use. Racing creators are
-// reconciled with a CAS; the loser's chunk is garbage-collected.
-func (a *arena[T]) chunk(ci int64) *arenaChunk[T] {
-	if c := a.chunks[ci].Load(); c != nil {
-		return c
+// chunk returns the chunk holding offset off, or nil before its first use.
+func (a *words) chunk(off int64) *chunk {
+	ci := uint64(off>>chunkBits) + 1
+	b := bits.Len64(ci) - 1
+	bucket := a.buckets[b].Load()
+	if bucket == nil {
+		return nil
 	}
-	fresh := &arenaChunk[T]{}
-	if a.chunks[ci].CompareAndSwap(nil, fresh) {
+	return (*bucket)[ci-1<<b].Load()
+}
+
+// create returns the chunk holding offset off, creating it and its
+// directory bucket as needed. Racing creators are reconciled with one CAS
+// each; the loser's copy is garbage.
+//
+//tradeoffvet:outofband view storage behind the big-register abstraction (see words)
+func (a *words) create(off int64) *chunk {
+	ci := uint64(off>>chunkBits) + 1
+	b := bits.Len64(ci) - 1
+	bucket := a.buckets[b].Load()
+	if bucket == nil {
+		fresh := make([]atomic.Pointer[chunk], 1<<b)
+		if !a.buckets[b].CompareAndSwap(nil, &fresh) {
+			fresh = *a.buckets[b].Load()
+		}
+		bucket = &fresh
+	}
+	slot := &(*bucket)[ci-1<<b]
+	fresh := &chunk{words: new([1 << chunkBits]int64)}
+	if slot.CompareAndSwap(nil, fresh) {
 		return fresh
 	}
-	return a.chunks[ci].Load()
+	return slot.Load()
 }
 
-// get returns the value stored at idx.
-func (a *arena[T]) get(idx int64) *T {
-	return a.chunks[idx>>arenaChunkBits].Load().slots[idx&(1<<arenaChunkBits-1)].Load()
-}
-
-// used reports how many slots have been allocated.
-func (a *arena[T]) used() int64 {
-	n := a.next.Load()
-	if n > a.capLimit {
-		return a.capLimit
+// wordBudget returns base + count*per, saturating at math.MaxInt64 so a huge
+// declared limit costs nothing until it is used.
+func wordBudget(base, count, per int64) int64 {
+	if per > 0 && count > (math.MaxInt64-base)/per {
+		return math.MaxInt64
 	}
-	return n
+	return base + count*per
 }
-
-// capacity reports the total number of slots.
-func (a *arena[T]) capacity() int64 { return a.capLimit }

@@ -9,11 +9,12 @@ import (
 
 // FArray is the constant-Scan snapshot: a Jayanti-style f-array (PODC
 // 2002) whose aggregate is view concatenation. Leaves hold raw segment
-// values; every internal node holds (an arena index of) the concatenated
-// view of its subtree, refreshed twice per level on each update's
-// leaf-to-root path, so the root always holds a linearizable full view.
+// values; every internal node holds (the word-arena offset of) the
+// concatenated view of its subtree, refreshed twice per level on each
+// update's leaf-to-root path, so the root always holds a linearizable full
+// view.
 //
-//	Scan:   1 step (read the root's view index; dereference is local).
+//	Scan:   1 step (read the root's view offset; dereference is local).
 //	Update: O(log N) steps (leaf write + 8 per level).
 //
 // Corollary 1 of the paper proves this update cost is asymptotically
@@ -21,12 +22,14 @@ import (
 // Scan from read/write/CAS. The E2 experiment measures both sides.
 //
 // The object is restricted-use: a construction-time update budget sizes the
-// view arena (each update consumes at most two views per tree level).
+// view arena's word budget (each update refreshes two views of every node
+// on its leaf-to-root path, and a node's view is as wide as its subtree).
 type FArray struct {
 	n     int
 	tree  *b1tree.Tree
 	regs  []*primitive.Register
-	views *arena[[]int64]
+	width []int // width[k]: leaves under tree.Nodes[k], so its view's word count
+	views *words
 	limit int64
 }
 
@@ -47,12 +50,34 @@ func NewFArray(pool *primitive.Pool, n int, maxUpdates int64) (*FArray, error) {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 
-	depth := int64(tree.LeafDepth(0))
-	capacity := int64(len(tree.Nodes)) + 2*depth*maxUpdates + 4
+	// Nodes are in preorder: a reverse pass sees children before parents,
+	// a forward pass parents before children.
+	width := make([]int, len(tree.Nodes))
+	for k := len(tree.Nodes) - 1; k >= 0; k-- {
+		if node := tree.Nodes[k]; node.IsLeaf() {
+			width[k] = 1
+		} else {
+			width[k] = width[node.Left.Index] + width[node.Right.Index]
+		}
+	}
+	// pathWords[k]: words an update from below node k reserves above it.
+	var initial, perUpdate int64
+	pathWords := make([]int64, len(tree.Nodes))
+	for k, node := range tree.Nodes {
+		if p := node.Parent; p != nil {
+			pathWords[k] = pathWords[p.Index] + 2*int64(width[p.Index])
+		}
+		if node.IsLeaf() {
+			perUpdate = max(perUpdate, pathWords[k])
+		} else {
+			initial += int64(width[k])
+		}
+	}
 	s := &FArray{
 		n:     n,
 		tree:  tree,
-		views: newArena[[]int64](capacity),
+		width: width,
+		views: &words{limit: wordBudget(initial, maxUpdates, perUpdate)},
 		limit: maxUpdates,
 	}
 
@@ -62,12 +87,8 @@ func NewFArray(pool *primitive.Pool, n int, maxUpdates int64) (*FArray, error) {
 			s.regs[k] = pool.New("fsnap.leaf", 0)
 			continue
 		}
-		zero := make([]int64, subtreeWidth(node))
-		idx, ok := s.views.alloc(&zero)
-		if !ok {
-			return nil, fmt.Errorf("snapshot: arena capacity too small")
-		}
-		s.regs[k] = pool.New("fsnap.node", idx)
+		off, _, _ := s.views.reserve(width[k]) // the budget includes initial
+		s.regs[k] = pool.New("fsnap.node", off)
 	}
 	return s, nil
 }
@@ -93,10 +114,11 @@ func (s *FArray) Scan(ctx primitive.Context) []int64 {
 
 // ScanView implements Viewer in the same single shared-memory step as Scan,
 // returning the immutable arena view directly: zero-copy and, for trees
-// with at least two leaves, allocation-free. Views are append-only arena
-// slots that are never modified after publication, so the slice may be
-// retained — but must never be written. (The degenerate single-leaf tree
-// has no arena view and synthesizes a one-element slice.)
+// with at least two leaves, allocation-free. Arena views are never
+// modified after publication, so the slice may be retained — but must
+// never be written. Its cap equals its len, so appending to it copies.
+// (The degenerate single-leaf tree has no arena view and synthesizes a
+// one-element slice.)
 //
 //tradeoffvet:bound steps<=1 reads<=1
 func (s *FArray) ScanView(ctx primitive.Context) []int64 {
@@ -104,7 +126,7 @@ func (s *FArray) ScanView(ctx primitive.Context) []int64 {
 	if root.IsLeaf() {
 		return []int64{ctx.Read(s.regs[root.Index])}
 	}
-	return *s.views.get(ctx.Read(s.regs[root.Index]))
+	return s.views.view(ctx.Read(s.regs[root.Index]), s.n)
 }
 
 // ScanInto is Scan appending into dst (reset to length zero): with a
@@ -118,11 +140,12 @@ func (s *FArray) ScanInto(ctx primitive.Context, dst []int64) []int64 {
 	if root.IsLeaf() {
 		return append(dst, ctx.Read(s.regs[root.Index]))
 	}
-	return append(dst, *s.views.get(ctx.Read(s.regs[root.Index]))...)
+	return append(dst, s.views.view(ctx.Read(s.regs[root.Index]), s.n)...)
 }
 
 // Update implements Snapshot in O(log N) steps: one leaf write plus two
-// read-merge-CAS refreshes per level, each merge reading both children.
+// read-merge-CAS refreshes per level, each merge reading both children
+// into a freshly reserved view.
 //
 //tradeoffvet:bound steps<=8logn+1 reads<=6logn writes<=1 cas<=2logn
 func (s *FArray) Update(ctx primitive.Context, v int64) error {
@@ -136,45 +159,27 @@ func (s *FArray) Update(ctx primitive.Context, v int64) error {
 	//tradeoffvet:loopbound logn leaf-to-root walk: one iteration per tree level
 	for node := leaf.Parent; node != nil; node = node.Parent {
 		cell := s.regs[node.Index]
+		left := s.width[node.Left.Index]
 		for attempt := 0; attempt < 2; attempt++ {
-			oldIdx := ctx.Read(cell)
-			merged := make([]int64, 0, subtreeWidth(node))
-			merged = s.appendChild(ctx, merged, node.Left)
-			merged = s.appendChild(ctx, merged, node.Right)
-			newIdx, ok := s.views.alloc(&merged)
+			oldOff := ctx.Read(cell)
+			newOff, merged, ok := s.views.reserve(s.width[node.Index])
 			if !ok {
 				return &CapacityError{Object: "farray snapshot", Limit: s.limit}
 			}
-			ctx.CAS(cell, oldIdx, newIdx)
+			s.readChild(ctx, merged[:left], node.Left)
+			s.readChild(ctx, merged[left:], node.Right)
+			ctx.CAS(cell, oldOff, newOff)
 		}
 	}
 	return nil
 }
 
-// appendChild appends the child's current view (or leaf value) to dst in
+// readChild copies the child's current view (or leaf value) into dst in
 // one shared-memory step.
-func (s *FArray) appendChild(ctx primitive.Context, dst []int64, child *b1tree.Node) []int64 {
+func (s *FArray) readChild(ctx primitive.Context, dst []int64, child *b1tree.Node) {
 	if child.IsLeaf() {
-		return append(dst, ctx.Read(s.regs[child.Index]))
+		dst[0] = ctx.Read(s.regs[child.Index])
+		return
 	}
-	view := *s.views.get(ctx.Read(s.regs[child.Index]))
-	return append(dst, view...)
-}
-
-// UpdatesRemaining estimates how many more updates the arena can absorb in
-// the worst case (two view allocations per level each).
-func (s *FArray) UpdatesRemaining() int64 {
-	depth := int64(s.tree.LeafDepth(0))
-	if depth == 0 {
-		return 1 << 62 // single leaf: updates never allocate
-	}
-	return (s.views.capacity() - s.views.used()) / (2 * depth)
-}
-
-// subtreeWidth counts the leaves under node.
-func subtreeWidth(node *b1tree.Node) int {
-	if node.IsLeaf() {
-		return 1
-	}
-	return subtreeWidth(node.Left) + subtreeWidth(node.Right)
+	copy(dst, s.views.view(ctx.Read(s.regs[child.Index]), len(dst)))
 }

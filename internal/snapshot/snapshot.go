@@ -19,9 +19,10 @@
 //
 // Step accounting counts shared-memory events only. The Afek and FArray
 // implementations model the literature's "big register" assumption by
-// storing immutable views in a side arena and CASing word-sized arena
-// indices; dereferencing an index is local computation (no step), and
-// indices are never reused, so index-CAS has LL/SC semantics (no ABA).
+// storing immutable views in an append-only word arena and writing or
+// CASing their word offsets; dereferencing an offset is local computation
+// (no step), and offsets are never reused, so offset-CAS has LL/SC
+// semantics (no ABA).
 package snapshot
 
 import (

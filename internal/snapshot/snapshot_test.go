@@ -322,23 +322,25 @@ func TestScanReturnsFreshSlice(t *testing.T) {
 }
 
 func TestArenaExhaustionAndReuse(t *testing.T) {
-	a := newArena[int64](2)
-	one, two := int64(1), int64(2)
-	i1, ok := a.alloc(&one)
-	if !ok || i1 != 0 {
-		t.Fatalf("first alloc = %d, %v", i1, ok)
+	// A 5-word budget admits a 2-word and a 3-word view, then nothing.
+	a := &words{limit: 5}
+	o1, v1, ok := a.reserve(2)
+	if !ok || o1 != 0 || len(v1) != 2 || cap(v1) != 2 {
+		t.Fatalf("first reserve = %d, len %d cap %d, %v", o1, len(v1), cap(v1), ok)
 	}
-	i2, ok := a.alloc(&two)
-	if !ok || i2 != 1 {
-		t.Fatalf("second alloc = %d, %v", i2, ok)
+	o2, v2, ok := a.reserve(3)
+	if !ok || o2 != 2 || len(v2) != 3 || cap(v2) != 3 {
+		t.Fatalf("second reserve = %d, len %d cap %d, %v", o2, len(v2), cap(v2), ok)
 	}
-	if _, ok := a.alloc(&one); ok {
-		t.Fatal("alloc beyond capacity succeeded")
+	if _, _, ok := a.reserve(1); ok {
+		t.Fatal("reserve beyond the budget succeeded")
 	}
-	if got := *a.get(i1); got != 1 {
-		t.Fatalf("get(0) = %d", got)
+	copy(v1, []int64{1, 2})
+	copy(v2, []int64{3, 4, 5})
+	if got := a.view(o1, 2); got[0] != 1 || got[1] != 2 {
+		t.Fatalf("view(%d) = %v", o1, got)
 	}
-	if a.used() != 2 || a.capacity() != 2 {
-		t.Fatalf("used/capacity = %d/%d", a.used(), a.capacity())
+	if got := a.view(o2, 3); got[0] != 3 || got[2] != 5 {
+		t.Fatalf("view(%d) = %v", o2, got)
 	}
 }

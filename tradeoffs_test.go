@@ -2,8 +2,11 @@ package tradeoffs
 
 import (
 	"errors"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestMaxRegisterDefaults(t *testing.T) {
@@ -158,6 +161,65 @@ func TestSnapshotImplementations(t *testing.T) {
 				t.Fatalf("Scan = %v", got)
 			}
 		})
+	}
+}
+
+// TestHugeLimitCostsNothingUpFront builds every snapshot-backed object with
+// the largest declarable limit. Their view arenas grow with use, so
+// construction must be quick and leave a working object, not size storage
+// for the limit or overflow computing it.
+func TestHugeLimitCostsNothingUpFront(t *testing.T) {
+	type object struct {
+		update func(int64) error
+		read   func() int64
+		want   int64 // read after updates 1, 2, 3
+	}
+	builds := map[string]func() (object, error){
+		"snapshot/farray": func() (object, error) {
+			s, err := NewSnapshot(WithSnapshotImpl(SnapshotFArray), WithLimit(math.MaxInt64))
+			if err != nil {
+				return object{}, err
+			}
+			return object{s.Handle(1).Update, func() int64 { return s.Handle(0).Scan()[1] }, 3}, nil
+		},
+		"snapshot/afek": func() (object, error) {
+			s, err := NewSnapshot(WithSnapshotImpl(SnapshotAfek), WithLimit(math.MaxInt64))
+			if err != nil {
+				return object{}, err
+			}
+			return object{s.Handle(1).Update, func() int64 { return s.Handle(0).Scan()[1] }, 3}, nil
+		},
+		"counter/snapshot": func() (object, error) {
+			c, err := NewCounter(WithCounterImpl(CounterSnapshot), WithLimit(math.MaxInt64))
+			if err != nil {
+				return object{}, err
+			}
+			return object{c.Handle(1).Add, c.Handle(0).Read, 6}, nil
+		},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for name, build := range builds {
+		start := time.Now()
+		obj, err := build()
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("%s: construction took %v", name, elapsed)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for v := int64(1); v <= 3; v++ {
+			if err := obj.update(v); err != nil {
+				t.Fatalf("%s: update %d: %v", name, v, err)
+			}
+		}
+		if got := obj.read(); got != obj.want {
+			t.Errorf("%s: read %d after updates 1, 2, 3, want %d", name, got, obj.want)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if after.HeapSys > before.HeapSys+64<<20 {
+		t.Errorf("heap reserved %d MiB for three small objects", (after.HeapSys-before.HeapSys)>>20)
 	}
 }
 
