@@ -44,37 +44,58 @@ type opBoundSpec struct {
 	methods []string
 }
 
-// applyOpBounds instantiates and arms the step budgets for one freshly
-// constructed object: implKey is the bound table's family key
-// ("counter.FArray"), p the object's concrete parameters, and name the
-// Observability-resolved object label used on exemplars. A nil
-// collector (no WithObservability) is a no-op.
-func applyOpBounds(c config, col *obs.Collector, family, name, implKey string, specs []opBoundSpec, p bounds.Params) error {
-	if col == nil || implKey == "" {
-		return nil
+// objectBounds locates one object in the bound table: its implementation
+// key ("counter.FArray"; empty when the implementation has no certified
+// bounds), its concrete parameters, and the facade operations to arm.
+type objectBounds struct {
+	key    string
+	params bounds.Params
+	specs  []opBoundSpec
+}
+
+// instantiate resolves each operation's step budget at the object's
+// parameters from table (nil: the embedded table), keeping the declared
+// ones. It is pure, so a construction can fail on it before registering
+// anything.
+func (ob objectBounds) instantiate(table *bounds.Table) ([]bounds.OpBound, error) {
+	if ob.key == "" {
+		return nil, nil
 	}
-	table := c.boundTable
 	if table == nil {
 		table = bounds.Default()
 	}
-	for _, spec := range specs {
+	var out []bounds.OpBound
+	for _, spec := range ob.specs {
 		var b bounds.OpBound
 		for _, m := range spec.methods {
-			ob, err := table.StepBound(implKey, m, p)
+			mb, err := table.StepBound(ob.key, m, ob.params)
 			if err != nil {
-				return fmt.Errorf("tradeoffs: %w", err)
+				return nil, fmt.Errorf("tradeoffs: %w", err)
 			}
-			b = b.Max(ob)
+			b = b.Max(mb)
 		}
-		if !b.Declared() {
-			continue
+		if b.Declared() {
+			b.Op, b.Params = spec.op, ob.params
+			out = append(out, b)
 		}
-		b.Op, b.Params = spec.op, p
+	}
+	return out, nil
+}
+
+// armOpBounds arms a registered object's collector with its instantiated
+// step budgets. name is the object's resolved label, used on exemplars;
+// fr, when non-nil, is the flight recorder whose window an exemplar
+// embeds.
+func (o *Observability) armOpBounds(col *obs.Collector, family, name string, budgets []bounds.OpBound, fr *FlightRecorder) {
+	for _, b := range budgets {
 		cfg := obs.OpBoundConfig{
 			Worst:           b.Worst,
 			Uncontended:     b.Uncontended,
 			WorstExpr:       b.WorstExpr,
 			UncontendedExpr: b.UncontendedExpr,
+			OnViolation: func(v obs.BoundViolation) {
+				o.captureBoundExemplar(family, name, b, v, fr)
+			},
 		}
 		// The exceedance threshold is the uncontended budget when one
 		// exists; carry that clause's amortization flag.
@@ -83,16 +104,8 @@ func applyOpBounds(c config, col *obs.Collector, family, name, implKey string, s
 		} else {
 			cfg.Amortized = b.WorstAmortized
 		}
-		if c.obs != nil {
-			bound, fr := b, c.flight
-			reg := c.obs
-			cfg.OnViolation = func(v obs.BoundViolation) {
-				reg.captureBoundExemplar(family, name, bound, v, fr)
-			}
-		}
-		col.SetOpBound(spec.op, cfg)
+		col.SetOpBound(b.Op, cfg)
 	}
-	return nil
 }
 
 // captureBoundExemplar builds and latches the re-checkable exemplar for
@@ -130,18 +143,17 @@ func (o *Observability) captureBoundExemplar(family, name string, b bounds.OpBou
 	o.addBoundExemplar(e)
 }
 
-// maxRegBoundKey resolves a max register implementation to its bound
-// table key and concrete parameters.
-func maxRegBoundKey(impl maxreg.MaxRegister, procs int) (string, bounds.Params) {
+// maxRegBounds locates a max register implementation in the bound table.
+func maxRegBounds(impl maxreg.MaxRegister, procs int) objectBounds {
 	switch m := impl.(type) {
 	case *core.MaxRegister:
-		return "core.MaxRegister", bounds.Params{
+		return objectBounds{"core.MaxRegister", bounds.Params{
 			N: int64(procs), LogN: int64(m.MaxDepth()), RF: int64(m.Refreshes()),
-		}
+		}, maxRegBoundSpecs}
 	case *maxreg.CASRegister:
-		return "maxreg.CASRegister", bounds.Params{N: int64(procs)}
+		return objectBounds{"maxreg.CASRegister", bounds.Params{N: int64(procs)}, maxRegBoundSpecs}
 	}
-	return "", bounds.Params{}
+	return objectBounds{}
 }
 
 var maxRegBoundSpecs = []opBoundSpec{
@@ -149,18 +161,17 @@ var maxRegBoundSpecs = []opBoundSpec{
 	{op: "write", methods: []string{"WriteMax"}},
 }
 
-// counterBoundKey resolves a counter implementation to its bound table
-// key and concrete parameters.
-func counterBoundKey(impl counter.Counter, procs int) (string, bounds.Params) {
+// counterBounds locates a counter implementation in the bound table.
+func counterBounds(impl counter.Counter, procs int) objectBounds {
 	switch ctr := impl.(type) {
 	case *counter.FArray:
-		return "counter.FArray", bounds.Params{N: int64(procs), LogN: int64(ctr.Depth())}
+		return objectBounds{"counter.FArray", bounds.Params{N: int64(procs), LogN: int64(ctr.Depth())}, counterBoundSpecs}
 	case *counter.CAS:
-		return "counter.CAS", bounds.Params{N: int64(procs)}
+		return objectBounds{"counter.CAS", bounds.Params{N: int64(procs)}, counterBoundSpecs}
 	case *sharded.Counter:
-		return "sharded.Counter", bounds.Params{N: int64(procs), K: int64(ctr.MaxStripes())}
+		return objectBounds{"sharded.Counter", bounds.Params{N: int64(procs), K: int64(ctr.MaxStripes())}, counterBoundSpecs}
 	}
-	return "", bounds.Params{}
+	return objectBounds{}
 }
 
 var counterBoundSpecs = []opBoundSpec{
@@ -169,16 +180,15 @@ var counterBoundSpecs = []opBoundSpec{
 	{op: "add", methods: []string{"Add"}},
 }
 
-// snapshotBoundKey resolves a snapshot implementation to its bound
-// table key and concrete parameters.
-func snapshotBoundKey(impl snapshot.Snapshot, procs int) (string, bounds.Params) {
+// snapshotBounds locates a snapshot implementation in the bound table.
+func snapshotBounds(impl snapshot.Snapshot, procs int) objectBounds {
 	switch s := impl.(type) {
 	case *snapshot.FArray:
-		return "snapshot.FArray", bounds.Params{N: int64(procs), LogN: int64(s.Depth())}
+		return objectBounds{"snapshot.FArray", bounds.Params{N: int64(procs), LogN: int64(s.Depth())}, snapshotBoundSpecs}
 	case *snapshot.DoubleCollect:
-		return "snapshot.DoubleCollect", bounds.Params{N: int64(procs)}
+		return objectBounds{"snapshot.DoubleCollect", bounds.Params{N: int64(procs)}, snapshotBoundSpecs}
 	}
-	return "", bounds.Params{}
+	return objectBounds{}
 }
 
 var snapshotBoundSpecs = []opBoundSpec{
@@ -186,14 +196,14 @@ var snapshotBoundSpecs = []opBoundSpec{
 	{op: "update", methods: []string{"Update"}},
 }
 
-// consensusBoundKey resolves the consensus object's bound parameters.
-func consensusBoundKey(impl *consensus.Consensus, procs int) (string, bounds.Params) {
-	return "consensus.Consensus", bounds.Params{
+// consensusBounds locates the consensus object in the bound table.
+func consensusBounds(impl *consensus.Consensus, procs int) objectBounds {
+	return objectBounds{"consensus.Consensus", bounds.Params{
 		N:    int64(procs),
 		LogN: int64(impl.TrackerDepth()),
 		R:    int64(impl.MaxRounds()),
 		RF:   int64(impl.TrackerRefreshes()),
-	}
+	}, consensusBoundSpecs}
 }
 
 var consensusBoundSpecs = []opBoundSpec{

@@ -6,7 +6,6 @@ import (
 	"github.com/restricteduse/tradeoffs/internal/consensus"
 	"github.com/restricteduse/tradeoffs/internal/history"
 	"github.com/restricteduse/tradeoffs/internal/obs"
-	"github.com/restricteduse/tradeoffs/internal/obs/flight"
 	"github.com/restricteduse/tradeoffs/internal/primitive"
 )
 
@@ -21,11 +20,8 @@ import (
 // construction-time round budget (WithLimit) and return
 // ErrRoundsExhausted; retry with backoff.
 type Consensus struct {
-	impl      *consensus.Consensus
-	processes int
-	counting  bool
-	col       *obs.Collector
-	ftap      *flight.Tap
+	wiring
+	impl *consensus.Consensus
 }
 
 // ErrRoundsExhausted is returned by Propose when contention outlasts the
@@ -48,15 +44,11 @@ func NewConsensus(opts ...Option) (*Consensus, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tradeoffs: %w", err)
 	}
-	col, name, tap, err := registerObsAndFlight(c, "consensus", pool)
+	w, err := wire(c, "consensus", pool, consensusBounds(impl, c.processes))
 	if err != nil {
 		return nil, err
 	}
-	implKey, params := consensusBoundKey(impl, c.processes)
-	if err := applyOpBounds(c, col, "consensus", name, implKey, consensusBoundSpecs, params); err != nil {
-		return nil, err
-	}
-	return &Consensus{impl: impl, processes: c.processes, counting: c.counting, col: col, ftap: tap}, nil
+	return &Consensus{wiring: w, impl: impl}, nil
 }
 
 // Processes returns the number of process slots.
@@ -66,11 +58,7 @@ func (c *Consensus) Processes() int { return c.processes }
 // [0, Processes()) — see checkHandleID.
 func (c *Consensus) Handle(id int) *ConsensusHandle {
 	checkHandleID("Consensus", id, c.processes)
-	h := &ConsensusHandle{cons: c.impl, handle: newHandle(id, c.counting, c.col, c.ftap)}
-	if c.col != nil {
-		h.opPropose = c.col.Op("propose")
-	}
-	return h
+	return &ConsensusHandle{handle: c.newHandle(id), cons: c.impl, opPropose: c.op("propose")}
 }
 
 // ConsensusHandle is a per-process capability to a Consensus.
@@ -83,24 +71,14 @@ type ConsensusHandle struct {
 
 // Propose submits v and returns the agreed value.
 func (h *ConsensusHandle) Propose(v int64) (int64, error) {
-	tok := h.beginFlight()
-	var (
-		agreed int64
-		err    error
-	)
-	if h.inst == nil {
-		agreed, err = h.cons.Propose(h.ctx, v)
-	} else {
-		sp := h.opPropose.Begin(h.inst)
-		agreed, err = h.cons.Propose(h.ctx, v)
-		sp.End()
-	}
+	s := h.begin(h.opPropose)
+	agreed, err := h.cons.Propose(h.ctx, v)
 	if err != nil {
 		// An exhausted round budget decides nothing: drop the record.
-		h.abortFlight(tok)
+		h.abort(s)
 		return agreed, err
 	}
-	h.endFlight(tok, history.KindPropose, v, agreed)
+	h.end(s, history.KindPropose, v, agreed)
 	return agreed, nil
 }
 

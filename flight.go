@@ -9,11 +9,9 @@ import (
 	"sync"
 	"time"
 
-	"github.com/restricteduse/tradeoffs/internal/history"
 	"github.com/restricteduse/tradeoffs/internal/obs"
 	"github.com/restricteduse/tradeoffs/internal/obs/expo"
 	"github.com/restricteduse/tradeoffs/internal/obs/flight"
-	"github.com/restricteduse/tradeoffs/internal/primitive"
 )
 
 // FlightConfig tunes a FlightRecorder. The zero value picks the
@@ -252,29 +250,6 @@ func WithFlightRecorder(f *FlightRecorder) Option {
 	return optionFunc(func(c *config) { c.flight = f })
 }
 
-// registerObsAndFlight wires a freshly built object into its
-// Observability registry and flight recorder in one step, returning the
-// resolved object name (empty without an Observability) so the caller
-// can label bound-violation exemplars. If the flight tap fails after
-// the obs registration succeeded (duplicate tap name, recorder already
-// started), the obs entry is rolled back so a retried construction can
-// reuse the name and the metrics never expose an object that was never
-// built.
-func registerObsAndFlight(c config, family string, pool *primitive.Pool) (*obs.Collector, string, *flight.Tap, error) {
-	col, name, err := registerObs(c, family, pool)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	tap, err := registerFlight(c, family, name)
-	if err != nil {
-		if col != nil {
-			c.obs.unregister(family, name)
-		}
-		return nil, "", nil, err
-	}
-	return col, name, tap, nil
-}
-
 // registerFlight taps a newly built object into its flight recorder (if
 // any), first linking the recorder to the object's Observability so one
 // handler serves both. name is the Observability-resolved object name,
@@ -289,36 +264,4 @@ func registerFlight(c config, family, name string) (*flight.Tap, error) {
 		}
 	}
 	return c.flight.tap(family, name, c.processes)
-}
-
-// beginFlight opens a flight record for one operation: a no-op without
-// a tap, and a zero (ignored) token when the operation is not sampled.
-func (h *handle) beginFlight() flight.OpToken {
-	if h.ftap == nil {
-		return flight.OpToken{}
-	}
-	return h.ftap.Begin(h.fid)
-}
-
-// endFlight completes a scalar operation's record.
-func (h *handle) endFlight(tok flight.OpToken, kind history.Kind, arg, ret int64) {
-	if h.ftap != nil {
-		h.ftap.End(h.fid, tok, kind, arg, ret)
-	}
-}
-
-// endFlightVec completes a Scan's record with its result vector.
-func (h *handle) endFlightVec(tok flight.OpToken, vec []int64) {
-	if h.ftap != nil {
-		h.ftap.EndVec(h.fid, tok, vec)
-	}
-}
-
-// abortFlight discards the record of an operation that failed without
-// taking effect (rejected write, exhausted limit), so the monitor never
-// reasons about an update that did not happen.
-func (h *handle) abortFlight(tok flight.OpToken) {
-	if h.ftap != nil {
-		h.ftap.Abort(h.fid, tok)
-	}
 }

@@ -258,17 +258,6 @@ func buildConfig(opts []Option) config {
 	return c
 }
 
-// registerObs attaches a freshly built object's pool to its Observability
-// registry (if any), returning the object's collector (or nil) and its
-// resolved name — WithName's value, or the registry-assigned family#k —
-// so a flight recorder tap can share the label.
-func registerObs(c config, family string, pool *primitive.Pool) (*obs.Collector, string, error) {
-	if c.obs == nil {
-		return nil, c.name, nil
-	}
-	return c.obs.register(family, c.name, c.processes, pool)
-}
-
 // checkHandleID validates a Handle(id) argument. Out-of-range ids panic —
 // uniformly, with or without observability — because a handle is a
 // per-process capability: requesting one for a process that does not exist
@@ -282,39 +271,197 @@ func checkHandleID(family string, id, processes int) {
 	}
 }
 
+// wiring is a facade object's per-object plumbing, shared by every handle
+// it hands out.
+type wiring struct {
+	processes int
+	counting  bool
+	col       *obs.Collector // nil without WithObservability
+	ftap      *flight.Tap    // nil without WithFlightRecorder
+}
+
+// wire is a freshly built object's one construction step. With
+// observability it instantiates the object's step budgets first, because
+// that is pure and can fail; then registers the object with its
+// Observability and its flight recorder, rolling the first back if the
+// second fails; and only then arms the budgets. A failed construction
+// therefore leaves neither registry holding the object, and a retry can
+// reuse its name.
+func wire(c config, family string, pool *primitive.Pool, ob objectBounds) (wiring, error) {
+	w := wiring{processes: c.processes, counting: c.counting}
+	if c.obs == nil {
+		var err error
+		w.ftap, err = registerFlight(c, family, c.name)
+		return w, err
+	}
+	budgets, err := ob.instantiate(c.boundTable)
+	if err != nil {
+		return wiring{}, err
+	}
+	col, name, err := c.obs.register(family, c.name, c.processes, pool)
+	if err != nil {
+		return wiring{}, err
+	}
+	if w.ftap, err = registerFlight(c, family, name); err != nil {
+		c.obs.unregister(family, name)
+		return wiring{}, err
+	}
+	w.col = col
+	c.obs.armOpBounds(col, family, name, budgets, c.flight)
+	return w, nil
+}
+
+// newHandle builds process id's handle.
+func (w wiring) newHandle(id int) handle {
+	h := handle{ctx: primitive.NewDirect(id)}
+	if w.col != nil || w.ftap != nil {
+		h.stages = &stages{ftap: w.ftap, fid: id}
+	}
+	switch {
+	case w.col != nil:
+		h.inst = w.col.Context(id)
+		h.ctx = h.inst
+		if w.counting {
+			h.steps = h.inst
+		}
+	case w.counting:
+		c := primitive.NewCounting(h.ctx)
+		h.ctx, h.steps = c, c
+	}
+	return h
+}
+
+// op returns the named operation's obs recorder, or nil without
+// observability.
+func (w wiring) op(name string) *obs.Op {
+	if w.col == nil {
+		return nil
+	}
+	return w.col.Op(name)
+}
+
 // handle is the shared per-process plumbing.
 //
 //tradeoffvet:outofband a handle is itself the per-process capability: it owns exactly one process's context and never crosses goroutines
 type handle struct {
-	ctx  primitive.Context
-	inst *obs.Instrumented
+	ctx primitive.Context
+
+	// stages is the handle's operation pipeline; nil when the object has
+	// neither observability nor a flight recorder.
+	*stages
 
 	// steps serves Steps: the Counting wrapper, or, when the object is
 	// observed, the instrumented context, which already counts every step.
 	// Nil without WithStepCounting.
 	steps interface{ Steps() int64 }
+}
 
-	// ftap streams the handle's operations to a flight recorder; fid is
-	// the process id the tap records them under. Nil when the object was
-	// built without WithFlightRecorder.
+// stages are the optional stages every operation on a handle passes
+// through. Each is nil when its option is off.
+type stages struct {
+	// inst records the operation's steps and latency and scores its
+	// steps against the armed bound.
+	inst *obs.Instrumented
+
+	// ftap streams the operation to a flight recorder; fid is the process
+	// id the tap records it under.
 	ftap *flight.Tap
 	fid  int
 }
 
-func newHandle(id int, counting bool, col *obs.Collector, ftap *flight.Tap) handle {
-	h := handle{ctx: primitive.NewDirect(id), ftap: ftap, fid: id}
-	switch {
-	case col != nil:
-		h.inst = col.Context(id)
-		h.ctx = h.inst
-		if counting {
-			h.steps = h.inst
-		}
-	case counting:
-		c := primitive.NewCounting(h.ctx)
-		h.ctx, h.steps = c, c
+// opScope is one operation in flight through a handle's stages.
+type opScope struct {
+	span obs.Span
+	tok  flight.OpToken
+}
+
+// The handle's pipeline helpers (begin, beginUnrecorded, end, endVec,
+// abort) must each stay under the inliner's budget, as
+// `go build -gcflags='-m -m' .` reports: a plain handle's read costs a few
+// ns, and an out-of-line call in it would be a visible share of that. So
+// each is one nil check on the single *stages pointer plus one
+// out-of-line call.
+
+// begin opens an operation recorded by op's obs span and the flight tap.
+func (h *handle) begin(op *obs.Op) opScope {
+	if h.stages == nil {
+		return opScope{}
 	}
-	return h
+	return h.stages.begin(op, true)
+}
+
+// beginUnrecorded opens an operation that obs counts but the flight
+// recorder never sees: Tap.Begin is not called, so no sample slot is used.
+func (h *handle) beginUnrecorded(op *obs.Op) opScope {
+	if h.stages == nil {
+		return opScope{}
+	}
+	return h.stages.begin(op, false)
+}
+
+// end completes a scalar operation.
+func (h *handle) end(s opScope, kind history.Kind, arg, ret int64) {
+	if h.stages != nil {
+		h.stages.end(s, kind, arg, ret)
+	}
+}
+
+// endVec completes a Scan with its result vector.
+func (h *handle) endVec(s opScope, vec []int64) {
+	if h.stages != nil {
+		h.stages.endVec(s, vec)
+	}
+}
+
+// abort completes an operation that failed without taking effect
+// (rejected write, exhausted limit): obs still scores it, and its flight
+// record is dropped so the monitor never reasons about an update that did
+// not happen.
+func (h *handle) abort(s opScope) {
+	if h.stages != nil {
+		h.stages.abort(s)
+	}
+}
+
+// begin opens the flight record before the obs span, and end and abort
+// close it after the span, so obs latency excludes the recorder. The
+// flight token is zero (ignored) when the operation is not sampled.
+func (st *stages) begin(op *obs.Op, record bool) opScope {
+	var s opScope
+	if record && st.ftap != nil {
+		s.tok = st.ftap.Begin(st.fid)
+	}
+	if st.inst != nil {
+		s.span = op.Begin(st.inst)
+	}
+	return s
+}
+
+func (st *stages) end(s opScope, kind history.Kind, arg, ret int64) {
+	if st.inst != nil {
+		s.span.End()
+	}
+	if st.ftap != nil {
+		st.ftap.End(st.fid, s.tok, kind, arg, ret)
+	}
+}
+
+func (st *stages) endVec(s opScope, vec []int64) {
+	if st.inst != nil {
+		s.span.End()
+	}
+	if st.ftap != nil {
+		st.ftap.EndVec(st.fid, s.tok, vec)
+	}
+}
+
+func (st *stages) abort(s opScope) {
+	if st.inst != nil {
+		s.span.End()
+	}
+	if st.ftap != nil {
+		st.ftap.Abort(st.fid, s.tok)
+	}
 }
 
 // Steps reports shared-memory events issued through the handle, or 0 if the
@@ -329,11 +476,8 @@ func (h handle) Steps() int64 {
 // MaxRegister is a linearizable max register. Construct with
 // NewMaxRegister; access through per-process Handles.
 type MaxRegister struct {
-	impl      maxreg.MaxRegister
-	processes int
-	counting  bool
-	col       *obs.Collector
-	ftap      *flight.Tap
+	wiring
+	impl maxreg.MaxRegister
 }
 
 // NewMaxRegister builds a max register.
@@ -365,15 +509,11 @@ func NewMaxRegister(opts ...Option) (*MaxRegister, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tradeoffs: %w", err)
 	}
-	col, name, tap, err := registerObsAndFlight(c, "maxreg", pool)
+	w, err := wire(c, "maxreg", pool, maxRegBounds(impl, c.processes))
 	if err != nil {
 		return nil, err
 	}
-	implKey, params := maxRegBoundKey(impl, c.processes)
-	if err := applyOpBounds(c, col, "maxreg", name, implKey, maxRegBoundSpecs, params); err != nil {
-		return nil, err
-	}
-	return &MaxRegister{impl: impl, processes: c.processes, counting: c.counting, col: col, ftap: tap}, nil
+	return &MaxRegister{wiring: w, impl: impl}, nil
 }
 
 // Processes returns the number of process slots.
@@ -388,12 +528,7 @@ func (m *MaxRegister) Bound() int64 { return m.impl.Bound() }
 // contract is a panic rather than an error.
 func (m *MaxRegister) Handle(id int) *MaxRegisterHandle {
 	checkHandleID("MaxRegister", id, m.processes)
-	h := &MaxRegisterHandle{reg: m.impl, handle: newHandle(id, m.counting, m.col, m.ftap)}
-	if m.col != nil {
-		h.opRead = m.col.Op("read")
-		h.opWrite = m.col.Op("write")
-	}
-	return h
+	return &MaxRegisterHandle{handle: m.newHandle(id), reg: m.impl, opRead: m.op("read"), opWrite: m.op("write")}
 }
 
 // MaxRegisterHandle is a per-process capability to a MaxRegister.
@@ -406,47 +541,29 @@ type MaxRegisterHandle struct {
 
 // Read returns the largest value written so far (0 if none).
 func (h *MaxRegisterHandle) Read() int64 {
-	tok := h.beginFlight()
-	var v int64
-	if h.inst == nil {
-		v = h.reg.ReadMax(h.ctx)
-	} else {
-		sp := h.opRead.Begin(h.inst)
-		v = h.reg.ReadMax(h.ctx)
-		sp.End()
-	}
-	h.endFlight(tok, history.KindReadMax, 0, v)
+	s := h.begin(h.opRead)
+	v := h.reg.ReadMax(h.ctx)
+	h.end(s, history.KindReadMax, 0, v)
 	return v
 }
 
 // Write records v if it exceeds every previously written value.
 func (h *MaxRegisterHandle) Write(v int64) error {
-	tok := h.beginFlight()
-	var err error
-	if h.inst == nil {
-		err = h.reg.WriteMax(h.ctx, v)
-	} else {
-		sp := h.opWrite.Begin(h.inst)
-		err = h.reg.WriteMax(h.ctx, v)
-		sp.End()
-	}
-	if err != nil {
-		h.abortFlight(tok)
+	s := h.begin(h.opWrite)
+	if err := h.reg.WriteMax(h.ctx, v); err != nil {
+		h.abort(s)
 		return err
 	}
-	h.endFlight(tok, history.KindWriteMax, v, 0)
+	h.end(s, history.KindWriteMax, v, 0)
 	return nil
 }
 
 // Counter is a linearizable shared counter. Construct with NewCounter.
 type Counter struct {
-	impl      counter.Counter
-	which     CounterImpl
-	processes int
-	counting  bool
-	batch     int
-	col       *obs.Collector
-	ftap      *flight.Tap
+	wiring
+	impl  counter.Counter
+	which CounterImpl
+	batch int
 }
 
 // NewCounter builds a counter.
@@ -504,15 +621,11 @@ func NewCounter(opts ...Option) (*Counter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tradeoffs: %w", err)
 	}
-	col, name, tap, err := registerObsAndFlight(c, "counter", pool)
+	w, err := wire(c, "counter", pool, counterBounds(impl, c.processes))
 	if err != nil {
 		return nil, err
 	}
-	implKey, params := counterBoundKey(impl, c.processes)
-	if err := applyOpBounds(c, col, "counter", name, implKey, counterBoundSpecs, params); err != nil {
-		return nil, err
-	}
-	return &Counter{impl: impl, which: c.counterImpl, processes: c.processes, counting: c.counting, batch: c.batch, col: col, ftap: tap}, nil
+	return &Counter{wiring: w, impl: impl, which: c.counterImpl, batch: c.batch}, nil
 }
 
 // Processes returns the number of process slots.
@@ -535,13 +648,14 @@ func (c *Counter) BatchWindow() int {
 // [0, Processes()) — see checkHandleID.
 func (c *Counter) Handle(id int) *CounterHandle {
 	checkHandleID("Counter", id, c.processes)
-	h := &CounterHandle{ctr: c.impl, window: c.batch, handle: newHandle(id, c.counting, c.col, c.ftap)}
-	if c.col != nil {
-		h.opRead = c.col.Op("read")
-		h.opInc = c.col.Op("increment")
-		h.opAdd = c.col.Op("add")
+	return &CounterHandle{
+		handle: c.newHandle(id),
+		ctr:    c.impl,
+		opRead: c.op("read"),
+		opInc:  c.op("increment"),
+		opAdd:  c.op("add"),
+		window: c.batch,
 	}
-	return h
 }
 
 // CounterHandle is a per-process capability to a Counter.
@@ -583,16 +697,9 @@ func (h *CounterHandle) Read() int64 {
 		// propagated count.
 		_ = h.Flush()
 	}
-	tok := h.beginFlight()
-	var v int64
-	if h.inst == nil {
-		v = h.ctr.Read(h.ctx)
-	} else {
-		sp := h.opRead.Begin(h.inst)
-		v = h.ctr.Read(h.ctx)
-		sp.End()
-	}
-	h.endFlight(tok, history.KindCounterRead, 0, v)
+	s := h.begin(h.opRead)
+	v := h.ctr.Read(h.ctx)
+	h.end(s, history.KindCounterRead, 0, v)
 	return v
 }
 
@@ -602,20 +709,12 @@ func (h *CounterHandle) Increment() error {
 	if h.window > 1 {
 		return h.Add(1)
 	}
-	tok := h.beginFlight()
-	var err error
-	if h.inst == nil {
-		err = h.ctr.Increment(h.ctx)
-	} else {
-		sp := h.opInc.Begin(h.inst)
-		err = h.ctr.Increment(h.ctx)
-		sp.End()
-	}
-	if err != nil {
-		h.abortFlight(tok)
+	s := h.begin(h.opInc)
+	if err := h.ctr.Increment(h.ctx); err != nil {
+		h.abort(s)
 		return err
 	}
-	h.endFlight(tok, history.KindIncrement, 0, 0)
+	h.end(s, history.KindIncrement, 0, 0)
 	return nil
 }
 
@@ -636,25 +735,25 @@ func (h *CounterHandle) Add(delta int64) error {
 		}
 		return nil
 	}
-	// Add(0) changes nothing and is not recorded: the weighted counter
-	// checker counts every recorded increment with weight max(Arg, 1).
-	var tok flight.OpToken
+	return h.add(delta)
+}
+
+// add propagates delta as one update through the handle's pipeline.
+func (h *CounterHandle) add(delta int64) error {
+	var s opScope
 	if delta != 0 {
-		tok = h.beginFlight()
-	}
-	var err error
-	if h.inst == nil {
-		err = h.ctr.Add(h.ctx, delta)
+		s = h.begin(h.opAdd)
 	} else {
-		sp := h.opAdd.Begin(h.inst)
-		err = h.ctr.Add(h.ctx, delta)
-		sp.End()
+		// Add(0) changes nothing and is not recorded: the weighted
+		// counter checker counts every recorded increment with weight
+		// max(Arg, 1).
+		s = h.beginUnrecorded(h.opAdd)
 	}
-	if err != nil {
-		h.abortFlight(tok)
+	if err := h.ctr.Add(h.ctx, delta); err != nil {
+		h.abort(s)
 		return err
 	}
-	h.endFlight(tok, history.KindIncrement, delta, 0)
+	h.end(s, history.KindIncrement, delta, 0)
 	return nil
 }
 
@@ -672,22 +771,10 @@ func (h *CounterHandle) Flush() error {
 	// sees it as one weighted increment (Arg = delta): deltas buffered on
 	// the handle are invisible to other processes and stay unrecorded
 	// until this propagation, which is exactly when they linearize.
-	delta := h.pending
-	tok := h.beginFlight()
-	var err error
-	if h.inst == nil {
-		err = h.ctr.Add(h.ctx, delta)
-	} else {
-		sp := h.opAdd.Begin(h.inst)
-		err = h.ctr.Add(h.ctx, delta)
-		sp.End()
-	}
-	if err != nil {
-		h.abortFlight(tok)
+	if err := h.add(h.pending); err != nil {
 		h.lastFlushErr = err
 		return err
 	}
-	h.endFlight(tok, history.KindIncrement, delta, 0)
 	h.pending, h.buffered = 0, 0
 	h.lastFlushErr = nil
 	return nil
@@ -709,11 +796,8 @@ func (h *CounterHandle) LastFlushErr() error { return h.lastFlushErr }
 // Snapshot is a linearizable single-writer atomic snapshot. Construct with
 // NewSnapshot.
 type Snapshot struct {
-	impl      snapshot.Snapshot
-	processes int
-	counting  bool
-	col       *obs.Collector
-	ftap      *flight.Tap
+	wiring
+	impl snapshot.Snapshot
 
 	// local[i] caches the last value process i successfully wrote to its
 	// segment, so SnapshotHandle.Add needs no Scan. Single-writer (only
@@ -757,22 +841,11 @@ func NewSnapshot(opts ...Option) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tradeoffs: %w", err)
 	}
-	col, name, tap, err := registerObsAndFlight(c, "snapshot", pool)
+	w, err := wire(c, "snapshot", pool, snapshotBounds(impl, c.processes))
 	if err != nil {
 		return nil, err
 	}
-	implKey, params := snapshotBoundKey(impl, c.processes)
-	if err := applyOpBounds(c, col, "snapshot", name, implKey, snapshotBoundSpecs, params); err != nil {
-		return nil, err
-	}
-	return &Snapshot{
-		impl:      impl,
-		processes: c.processes,
-		counting:  c.counting,
-		col:       col,
-		ftap:      tap,
-		local:     make([]paddedSeg, c.processes),
-	}, nil
+	return &Snapshot{wiring: w, impl: impl, local: make([]paddedSeg, c.processes)}, nil
 }
 
 // Processes returns the number of segments (= process slots).
@@ -782,12 +855,13 @@ func (s *Snapshot) Processes() int { return s.processes }
 // Handle panics if id is outside [0, Processes()) — see checkHandleID.
 func (s *Snapshot) Handle(id int) *SnapshotHandle {
 	checkHandleID("Snapshot", id, s.processes)
-	h := &SnapshotHandle{snap: s.impl, seg: &s.local[id], handle: newHandle(id, s.counting, s.col, s.ftap)}
-	if s.col != nil {
-		h.opScan = s.col.Op("scan")
-		h.opUpdate = s.col.Op("update")
+	return &SnapshotHandle{
+		handle:   s.newHandle(id),
+		snap:     s.impl,
+		seg:      &s.local[id],
+		opScan:   s.op("scan"),
+		opUpdate: s.op("update"),
 	}
-	return h
 }
 
 // SnapshotHandle is a per-process capability to a Snapshot.
@@ -801,21 +875,13 @@ type SnapshotHandle struct {
 
 // Update atomically sets the handle's segment to v.
 func (h *SnapshotHandle) Update(v int64) error {
-	tok := h.beginFlight()
-	var err error
-	if h.inst == nil {
-		err = h.snap.Update(h.ctx, v)
-	} else {
-		sp := h.opUpdate.Begin(h.inst)
-		err = h.snap.Update(h.ctx, v)
-		sp.End()
-	}
-	if err != nil {
-		h.abortFlight(tok)
+	s := h.begin(h.opUpdate)
+	if err := h.snap.Update(h.ctx, v); err != nil {
+		h.abort(s)
 		return err
 	}
 	h.seg.v = v
-	h.endFlight(tok, history.KindUpdate, v, 0)
+	h.end(s, history.KindUpdate, v, 0)
 	return nil
 }
 
@@ -834,15 +900,8 @@ func (h *SnapshotHandle) Add(delta int64) (int64, error) {
 
 // Scan atomically reads all segments.
 func (h *SnapshotHandle) Scan() []int64 {
-	tok := h.beginFlight()
-	var v []int64
-	if h.inst == nil {
-		v = h.snap.Scan(h.ctx)
-	} else {
-		sp := h.opScan.Begin(h.inst)
-		v = h.snap.Scan(h.ctx)
-		sp.End()
-	}
-	h.endFlightVec(tok, v)
+	s := h.begin(h.opScan)
+	v := h.snap.Scan(h.ctx)
+	h.endVec(s, v)
 	return v
 }
