@@ -19,8 +19,8 @@ race:
 # The counter seeds are chosen so the random workloads draw increments,
 # not just reads (the default seed happens to draw all-reads at n=2
 # ops=2, which collapses to one trace class and checks nothing): seed 2
-# on cas is full=56 reduced=19 classes=16, seed 4 on farray is full=78
-# reduced=6 classes=6, and algorithm-a is full=210 reduced=6 (35x).
+# on cas is full=56 reduced=19 classes=16, seed 4 on farray is full=36
+# reduced=3 classes=3, and algorithm-a is full=210 reduced=6 (35x).
 race-sim:
 	$(GO) test -race ./internal/sim/...
 	$(GO) run ./cmd/simtrace -object counter -impl cas -n 2 -ops 2 -seed 2 -crosscheck

@@ -431,6 +431,11 @@ func (e *evaluator) evalFor(s *ast.ForStmt) flow {
 	bound, haveBound := e.forBound(s)
 	var total CostVec
 	switch {
+	case !body.live && !mayContinue(s.Body):
+		// Every path through the body leaves the loop, so it runs at
+		// most once. Uncontended, `if ctx.CAS(...) { break }` is such a
+		// body: the CAS succeeds and forces the break.
+		total = addVec(pre, addVec(cond, body.exit))
 	case haveBound:
 		total = addVec(pre, addVec(scaleVec(bound, perIter), cond))
 	case perIter.isZero():
@@ -450,6 +455,26 @@ func (e *evaluator) evalFor(s *ast.ForStmt) flow {
 	// A return inside the body costs at most the full loop; the loop
 	// statement itself always falls through (break paths included).
 	return flow{cont: total, live: true}
+}
+
+// mayContinue reports whether body holds a continue or goto, which could
+// start another iteration of an enclosing loop. Function literals run
+// elsewhere and are skipped; a continue of a nested loop counts, which is
+// conservative.
+func mayContinue(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.BranchStmt:
+			if n.Tok == token.CONTINUE || n.Tok == token.GOTO {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 func (e *evaluator) evalRange(s *ast.RangeStmt) flow {

@@ -107,3 +107,44 @@ func (t *Table) Hidden(ctx primitive.Context, limit int) int64 { // want "annota
 	}
 	return sum
 }
+
+// Refresh tries a CAS at most twice and stops at the first success: two
+// attempts at worst, one solo, since the successful CAS forces the break
+// and a body that cannot fall through runs at most once.
+//
+//tradeoffvet:bound steps<=4
+//tradeoffvet:bound steps<=2 uncontended
+func (t *Table) Refresh(ctx primitive.Context) {
+	for attempt := 0; attempt < 2; attempt++ {
+		cur := ctx.Read(t.cell)
+		if ctx.CAS(t.cell, cur, cur+1) {
+			break
+		}
+	}
+}
+
+// RefreshTight claims the solo cost as its worst case.
+//
+//tradeoffvet:bound steps<=2
+func (t *Table) RefreshTight(ctx primitive.Context) { // want "Table.RefreshTight: derived worst-case steps cost 4 exceeds declared bound 2"
+	for attempt := 0; attempt < 2; attempt++ {
+		cur := ctx.Read(t.cell)
+		if ctx.CAS(t.cell, cur, cur+1) {
+			break
+		}
+	}
+}
+
+// Repeat's successful CAS continues the loop, so solo it still runs both
+// iterations.
+//
+//tradeoffvet:bound steps<=2 uncontended
+func (t *Table) Repeat(ctx primitive.Context) { // want "Table.Repeat: derived uncontended steps cost 4 exceeds declared bound 2"
+	for attempt := 0; attempt < 2; attempt++ {
+		cur := ctx.Read(t.cell)
+		if ctx.CAS(t.cell, cur, cur+1) {
+			continue
+		}
+		return
+	}
+}

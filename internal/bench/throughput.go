@@ -446,8 +446,9 @@ func RunThroughput(cfg ThroughputConfig) (*Report, error) {
 	// Bound-conformance overhead: the padded f-array increment schedule a
 	// third time, with obs spans on every operation. bounds-off is the
 	// baseline (spans but no armed budget), bounds-margin adds the scoring
-	// against the certified 8logn+2 bound, bounds-full stacks a sampled
-	// flight tap on top — the "everything on" production configuration.
+	// against the certified 8logn+2 worst-case and 4logn+2 uncontended
+	// bounds, bounds-full stacks a sampled flight tap on top — the
+	// "everything on" production configuration.
 	// Each armed run doubles as a live certification: it must finish with
 	// zero unexplained exceedances and zero worst-case violations.
 	for _, variant := range []struct {

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"math"
+	"math/bits"
 	"strings"
 	"testing"
 )
@@ -43,40 +45,69 @@ func TestRunThroughputProducesValidReport(t *testing.T) {
 }
 
 func TestThroughputStepsAreDeterministic(t *testing.T) {
-	// The schedule is seed-determined, so steps/op and CAS totals for the
-	// CAS-free workloads must be bit-identical across runs. (CAS-loop
-	// workloads retry under real contention, so only their floor is fixed.)
-	a, err := RunThroughput(smallCfg)
+	// One process runs every workload without contention, so no CAS ever
+	// fails or retries and every row's steps/op is bit-identical across
+	// runs.
+	solo := ThroughputConfig{Procs: 1, OpsPerProc: 200, Seed: 7}
+	a, err := RunThroughput(solo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunThroughput(smallCfg)
+	b, err := RunThroughput(solo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resA := indexResults(a)
 	resB := indexResults(b)
-	for name, ra := range resA {
+	for name, ra := range indexResults(a) {
 		rb, ok := resB[name]
 		if !ok {
 			t.Fatalf("second run missing %q", name)
 		}
-		if ra.Ops != rb.Ops {
-			t.Errorf("%s: ops %d vs %d across runs", name, ra.Ops, rb.Ops)
+		if ra.Ops != rb.Ops || ra.StepsPerOp != rb.StepsPerOp {
+			t.Errorf("%s: ops %d vs %d, steps/op %g vs %g across solo runs", name, ra.Ops, rb.Ops, ra.StepsPerOp, rb.StepsPerOp)
 		}
-		// The f-array paths issue a fixed number of events per operation
-		// (double refresh counts attempts, not successes), so their
-		// steps/op is bit-identical across runs regardless of goroutine
-		// interleaving. AAC and the CAS loops early-exit or retry based on
-		// concurrently observed values, so only their totals' floor is
-		// fixed — skip those.
-		if strings.HasPrefix(name, "counter/farray/") ||
-			name == "counter/snapshot/increment" ||
-			name == "snapshot/farray/update" {
-			if ra.StepsPerOp != rb.StepsPerOp {
-				t.Errorf("%s: steps/op %g vs %g across runs", name, ra.StepsPerOp, rb.StepsPerOp)
-			}
+	}
+}
+
+func TestThroughputFArrayStepAccounting(t *testing.T) {
+	// Under contention an f-array refresh stops at its first successful
+	// CAS, so how many attempts a level takes depends on the interleaving.
+	// Each attempt is still exactly 4 steps (read the node, read both
+	// children, CAS), between one and two per level, so every run must
+	// satisfy steps = leafSteps + 4*CASAttempts and
+	// depth <= CASAttempts/update <= 2*depth.
+	rep, err := RunThroughput(smallCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs, ops := int64(smallCfg.Procs), int64(smallCfg.OpsPerProc)
+	depth := int64(bits.Len(uint(procs - 1))) // every leaf's: Procs is a power of two
+	const window = 8
+	checked := 0
+	for _, r := range rep.Results {
+		// leaf is the steps an update takes outside the refresh: the
+		// counter's slot read and write, or the snapshot's leaf write.
+		updates, leaf := r.Ops, int64(2)
+		switch {
+		case r.Name == "counter/farray/add/batched-w8":
+			updates = procs * ((ops + window - 1) / window)
+		case strings.HasPrefix(r.Name, "counter/farray/"):
+		case r.Name == "counter/snapshot/increment", r.Name == "snapshot/farray/update":
+			leaf = 1
+		default:
+			continue
 		}
+		checked++
+		steps := int64(math.Round(r.StepsPerOp * float64(r.Ops)))
+		if want := leaf*updates + 4*r.CASAttempts; steps != want {
+			t.Errorf("%s: %d steps, want %d leaf steps + 4*%d CAS attempts = %d", r.Name, steps, leaf*updates, r.CASAttempts, want)
+		}
+		if r.CASAttempts < depth*updates || r.CASAttempts > 2*depth*updates {
+			t.Errorf("%s: %d CAS attempts over %d updates, want %d..%d per update", r.Name, r.CASAttempts, updates, depth, 2*depth)
+		}
+	}
+	if checked != 11 {
+		t.Errorf("checked %d f-array rows, want 11", checked)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/restricteduse/tradeoffs/internal/b1tree"
 	"github.com/restricteduse/tradeoffs/internal/primitive"
 	"github.com/restricteduse/tradeoffs/internal/snapshot"
 )
@@ -350,7 +351,7 @@ func TestIncrementStepComplexity(t *testing.T) {
 		if got, budget := steps(impls["aac"]), 2+depth*3*logM; got > budget {
 			t.Fatalf("n=%d: aac Increment = %d steps > %d", n, got, budget)
 		}
-		// f-array: 2 leaf steps + 8 per level.
+		// f-array: 2 leaf steps + at most 8 per level.
 		if got, budget := steps(impls["farray"]), 2+8*depth; got > budget {
 			t.Fatalf("n=%d: farray Increment = %d steps > %d", n, got, budget)
 		}
@@ -364,6 +365,33 @@ func TestIncrementStepComplexity(t *testing.T) {
 		}
 		if got, budget := steps(impls["snap/farray"]), 1+8*depth; got > budget {
 			t.Fatalf("n=%d: snap/farray Increment = %d steps > %d", n, got, budget)
+		}
+	}
+}
+
+// TestFArraySoloIncrementCostExact pins the uncontended cost of the
+// f-array counter: solo, the first CAS at every level succeeds, so
+// Increment and Add take one leaf read, one leaf write and 4 steps per
+// level, from every leaf.
+func TestFArraySoloIncrementCostExact(t *testing.T) {
+	for _, n := range []int{2, 3, 5, 8, 64} {
+		c, err := NewFArray(primitive.NewPool(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := b1tree.NewComplete(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, leaf := range tree.Leaves {
+			want := int64(2 + 4*leaf.Depth)
+			ctx := primitive.NewCounting(primitive.NewDirect(id))
+			if got := ctx.Measure(func() { err = c.Increment(ctx) }); err != nil || got != want {
+				t.Fatalf("n=%d id=%d: Increment took %d steps (err %v), want %d", n, id, got, err, want)
+			}
+			if got := ctx.Measure(func() { err = c.Add(ctx, 3) }); err != nil || got != want {
+				t.Fatalf("n=%d id=%d: Add took %d steps (err %v), want %d", n, id, got, err, want)
+			}
 		}
 	}
 }

@@ -33,7 +33,7 @@ func NewFArray(pool *primitive.Pool, n int) (*FArray, error) {
 }
 
 // Depth returns the f-array's leaf depth — the "logn" symbol of the
-// certified Increment/Add bound (steps <= 8logn+2).
+// certified Increment/Add bound (steps <= 8logn+2, 4logn+2 uncontended).
 func (c *FArray) Depth() int { return c.fa.Depth() }
 
 // Limit implements Counter (unbounded).
@@ -49,6 +49,7 @@ func (c *FArray) Read(ctx primitive.Context) int64 {
 // Increment implements Counter in O(log N) steps.
 //
 //tradeoffvet:bound steps<=8logn+2 updates<=2logn+1
+//tradeoffvet:bound steps<=4logn+2 uncontended
 func (c *FArray) Increment(ctx primitive.Context) error {
 	return c.Add(ctx, 1)
 }
@@ -58,6 +59,7 @@ func (c *FArray) Increment(ctx primitive.Context) error {
 // what makes batched increments amortize to O(log N / window) steps each.
 //
 //tradeoffvet:bound steps<=8logn+2 updates<=2logn+1
+//tradeoffvet:bound steps<=4logn+2 uncontended
 func (c *FArray) Add(ctx primitive.Context, delta int64) error {
 	if delta < 0 {
 		return &NegativeDeltaError{Delta: delta}

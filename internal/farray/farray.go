@@ -6,9 +6,10 @@
 // f(slot_0, ..., slot_{n-1}) in O(1) shared-memory steps, while slot
 // updates cost O(log n) steps: slots are the leaves of a complete binary
 // tree whose internal nodes cache the aggregate of their subtrees, and an
-// update refreshes each node on its leaf-to-root path twice
-// (read-children/compute/CAS), the same helping pattern as Algorithm A's
-// Propagate.
+// update refreshes each node on its leaf-to-root path
+// (read-node/read-children/compute/CAS) until one CAS succeeds, at most
+// twice — the helping pattern of Algorithm A's Propagate, which always
+// refreshes twice.
 //
 // Jayanti's construction uses LL/SC; as the paper notes (Section 3), it
 // "can be made to work also using CAS". The port is sound here because the
@@ -18,6 +19,14 @@
 // never returns to a previously CASed-away value, so a successful CAS
 // implies the register was unchanged since the matching read, exactly the
 // LL/SC guarantee.
+//
+// That guarantee is also why a refresh may stop at its first successful
+// CAS: the installed value was computed from children read after this
+// update reached them, so the node already reflects it. Only a failed first
+// CAS needs Jayanti's second attempt, and after two failures some other
+// process's successful CAS installed children read after the first attempt
+// began, which again covers this update. Uncontended, an update costs
+// 2+4*depth steps; the worst case stays 2+8*depth.
 //
 // The paper's Section 3 remark — constant-read counters and snapshots with
 // logarithmic updates exist from CAS — is this package; Theorems 1-2 prove
@@ -174,7 +183,7 @@ func (f *FArray) ReadSlot(ctx primitive.Context, i int) (int64, error) {
 
 // Update sets the calling process's slot (slot ctx.ID()) to v and refreshes
 // the aggregates on the slot's root path. It takes O(log n) steps: one leaf
-// read, one leaf write, and 8 steps per level.
+// read, one leaf write, and per level 4 steps uncontended, 8 at worst.
 //
 // v must respect the aggregate's monotone direction (>= the slot's current
 // value for Sum/Max, <= for Min); Update is single-writer, so the owning
@@ -182,6 +191,7 @@ func (f *FArray) ReadSlot(ctx primitive.Context, i int) (int64, error) {
 // trip the MonotonicityError.
 //
 //tradeoffvet:bound steps<=8logn+2 reads<=6logn+1 writes<=1 cas<=2logn
+//tradeoffvet:bound steps<=4logn+2 uncontended
 func (f *FArray) Update(ctx primitive.Context, v int64) error {
 	i := ctx.ID()
 	if i < 0 || i >= f.n {
@@ -205,6 +215,7 @@ func (f *FArray) Update(ctx primitive.Context, v int64) error {
 // slot's new value. O(log n) steps. Sum and Max aggregates only.
 //
 //tradeoffvet:bound steps<=8logn+2 reads<=6logn+1 writes<=1 cas<=2logn
+//tradeoffvet:bound steps<=4logn+2 uncontended
 func (f *FArray) Add(ctx primitive.Context, delta int64) (int64, error) {
 	if delta < 0 {
 		return 0, fmt.Errorf("farray: negative delta %d", delta)
@@ -226,7 +237,8 @@ func (f *FArray) Add(ctx primitive.Context, delta int64) (int64, error) {
 	return next, nil
 }
 
-// refreshPath applies the double refresh at every ancestor of leaf.
+// refreshPath refreshes every ancestor of leaf, retrying a level once if
+// its first CAS fails.
 func (f *FArray) refreshPath(ctx primitive.Context, leaf *b1tree.Node) {
 	//tradeoffvet:loopbound logn leaf-to-root walk: one iteration per tree level
 	for node := leaf.Parent; node != nil; node = node.Parent {
@@ -236,10 +248,13 @@ func (f *FArray) refreshPath(ctx primitive.Context, leaf *b1tree.Node) {
 		for attempt := 0; attempt < 2; attempt++ {
 			old := ctx.Read(cell)
 			fresh := f.agg.combine(ctx.Read(left), ctx.Read(right))
-			ctx.CAS(cell, old, fresh)
+			if ctx.CAS(cell, old, fresh) {
+				break
+			}
 		}
 	}
 }
 
-// Depth returns the tree height (update cost is 2 + 8*Depth steps).
+// Depth returns the tree height (update cost is 2 + 4*Depth steps
+// uncontended, 2 + 8*Depth at worst).
 func (f *FArray) Depth() int { return f.tree.LeafDepth(0) }

@@ -136,7 +136,7 @@ func TestReadIsOneStep(t *testing.T) {
 }
 
 func TestUpdateStepBound(t *testing.T) {
-	// Update is O(log n): 2 leaf steps + 8 per level.
+	// Update is O(log n): 2 leaf steps + at most 8 per level.
 	for _, n := range []int{1, 2, 3, 8, 9, 64, 500} {
 		f := newF(t, n, Sum)
 		depth := int64(bits.Len(uint(n - 1))) // ceil(log2 n)
@@ -148,6 +148,26 @@ func TestUpdateStepBound(t *testing.T) {
 			}
 			if got := ctx.Steps(); got > budget {
 				t.Fatalf("n=%d id=%d: Add took %d steps > %d", n, id, got, budget)
+			}
+		}
+	}
+}
+
+// TestSoloUpdateCostExact pins the uncontended cost: solo, the first CAS
+// at every level succeeds, so Add and Update take one leaf read, one leaf
+// write and 4 steps per level, from every leaf.
+func TestSoloUpdateCostExact(t *testing.T) {
+	for _, n := range []int{2, 3, 5, 8, 64} {
+		f := newF(t, n, Sum)
+		for id, leaf := range f.tree.Leaves {
+			want := int64(2 + 4*leaf.Depth)
+			ctx := primitive.NewCounting(primitive.NewDirect(id))
+			var err error
+			if got := ctx.Measure(func() { _, err = f.Add(ctx, 1) }); err != nil || got != want {
+				t.Fatalf("n=%d id=%d: Add took %d steps (err %v), want %d", n, id, got, err, want)
+			}
+			if got := ctx.Measure(func() { err = f.Update(ctx, 5) }); err != nil || got != want {
+				t.Fatalf("n=%d id=%d: Update took %d steps (err %v), want %d", n, id, got, err, want)
 			}
 		}
 	}

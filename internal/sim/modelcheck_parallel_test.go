@@ -11,6 +11,7 @@ import (
 	"github.com/restricteduse/tradeoffs/internal/maxreg"
 	"github.com/restricteduse/tradeoffs/internal/primitive"
 	"github.com/restricteduse/tradeoffs/internal/sim"
+	"github.com/restricteduse/tradeoffs/internal/snapshot"
 )
 
 // Parallel counterparts of the exhaustive model-check tests: the same
@@ -20,11 +21,11 @@ import (
 // helper's single captured recorder variable would race).
 
 // checkExhaustiveParallel enumerates every schedule of build's programs via
-// ExploreParallel and verifies each history against spec. Registers come
-// from the worker's recycled pool and systems from its recycled
-// scaffolding, so this also exercises the replay-reuse path under the exact
-// linearizability oracle.
-func checkExhaustiveParallel(t *testing.T, build buildFn, spec history.Spec, workers, budget int) int {
+// ExploreParallel (one per trace class with opts.Reduce) and verifies each
+// history against spec. Registers come from the worker's recycled pool and
+// systems from its recycled scaffolding, so this also exercises the
+// replay-reuse path under the exact linearizability oracle.
+func checkExhaustiveParallel(t *testing.T, build buildFn, spec history.Spec, opts sim.Options) int {
 	t.Helper()
 	var recorders sync.Map // *sim.System -> *history.Recorder
 	buildSystem := func(rec *sim.Recycler) (*sim.System, error) {
@@ -45,7 +46,7 @@ func checkExhaustiveParallel(t *testing.T, build buildFn, spec history.Spec, wor
 			return fmt.Errorf("no recorder bound to system %p", s)
 		}
 		return history.CheckLinearizable(r.(*history.Recorder).Ops(), spec)
-	}, sim.Options{Workers: workers, Budget: budget})
+	}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func buildExhaustiveCASCounter(pool *primitive.Pool) ([]sim.Program, *history.Re
 func TestExhaustiveParallelAACMaxReg(t *testing.T) {
 	seq := checkExhaustive(t, buildExhaustiveAACMaxReg, history.MaxRegisterSpec{}, 100000)
 	for _, workers := range []int{1, 4} {
-		execs := checkExhaustiveParallel(t, buildExhaustiveAACMaxReg, history.MaxRegisterSpec{}, workers, 100000)
+		execs := checkExhaustiveParallel(t, buildExhaustiveAACMaxReg, history.MaxRegisterSpec{}, sim.Options{Workers: workers, Budget: 100000})
 		if execs != seq {
 			t.Fatalf("workers=%d explored %d executions, sequential explored %d", workers, execs, seq)
 		}
@@ -92,12 +93,76 @@ func TestExhaustiveParallelAACMaxReg(t *testing.T) {
 func TestExhaustiveParallelCASCounter(t *testing.T) {
 	seq := checkExhaustive(t, buildExhaustiveCASCounter, history.CounterSpec{}, 100000)
 	for _, workers := range []int{1, 4} {
-		execs := checkExhaustiveParallel(t, buildExhaustiveCASCounter, history.CounterSpec{}, workers, 100000)
+		execs := checkExhaustiveParallel(t, buildExhaustiveCASCounter, history.CounterSpec{}, sim.Options{Workers: workers, Budget: 100000})
 		if execs != seq {
 			t.Fatalf("workers=%d explored %d executions, sequential explored %d", workers, execs, seq)
 		}
 	}
 	t.Logf("explored %d complete executions per engine", seq)
+}
+
+// TestExhaustiveReducedFArrayCounter explores every trace class of two
+// f-array increments racing two reads at n=2: the refresh's early exit on
+// a successful CAS must never lose an increment. Every process invokes its
+// first operation before any step runs, so it is the second read that can
+// start after both increments finished.
+func TestExhaustiveReducedFArrayCounter(t *testing.T) {
+	build := func(pool *primitive.Pool) ([]sim.Program, *history.Recorder) {
+		rec := history.NewRecorder()
+		c, err := counter.NewFArray(pool, 2)
+		if err != nil {
+			panic(err)
+		}
+		return []sim.Program{
+			counterProgram(c, rec, []history.Kind{history.KindIncrement}),
+			counterProgram(c, rec, []history.Kind{history.KindIncrement}),
+			counterProgram(c, rec, []history.Kind{history.KindCounterRead, history.KindCounterRead}),
+		}, rec
+	}
+	execs := checkExhaustiveParallel(t, build, history.CounterSpec{}, sim.Options{Workers: 2, Budget: 100000, Reduce: true})
+	t.Logf("explored %d complete executions", execs)
+	if execs < 10 {
+		t.Fatalf("exploration degenerate: only %d executions", execs)
+	}
+}
+
+// TestExhaustiveReducedFArraySnapshot explores every trace class of two
+// f-array snapshot updaters racing a scanner.
+func TestExhaustiveReducedFArraySnapshot(t *testing.T) {
+	build := func(pool *primitive.Pool) ([]sim.Program, *history.Recorder) {
+		rec := history.NewRecorder()
+		snap, err := snapshot.NewFArray(pool, 2, 4)
+		if err != nil {
+			panic(err)
+		}
+		update := func(ctx primitive.Context, v int64) {
+			inv := rec.Invoke()
+			if err := snap.Update(ctx, v); err != nil {
+				panic(err)
+			}
+			rec.Record(history.Op{Proc: ctx.ID(), Kind: history.KindUpdate, Arg: v}, inv)
+		}
+		// p0 updates twice, so its second update's refresh can find a
+		// node p1's update is refreshing at the same time.
+		updater := func(ctx primitive.Context) {
+			for v := int64(1); v <= int64(2-ctx.ID()); v++ {
+				update(ctx, v)
+			}
+		}
+		scanner := func(ctx primitive.Context) {
+			for i := 0; i < 2; i++ {
+				inv := rec.Invoke()
+				view := snap.Scan(ctx)
+				rec.Record(history.Op{Proc: ctx.ID(), Kind: history.KindScan, RetVec: view}, inv)
+			}
+		}
+		return []sim.Program{updater, updater, scanner}, rec
+	}
+	execs := checkExhaustiveParallel(t, build, history.SnapshotSpec{N: 2}, sim.Options{Workers: 2, Budget: 1000000, Reduce: true})
+	t.Logf("explored %d complete executions", execs)
+	if execs < 10 {
+		t.Fatalf("exploration degenerate: only %d executions", execs)
+	}
 }
 
 // TestCrashScenariosParallelSeeds runs the max-register crash workload's

@@ -113,6 +113,19 @@ func (a *words) create(off int64) *chunk {
 	return slot.Load()
 }
 
+// quota admits at most limit uses of a restricted-use object, counting
+// every attempt: once the count passes limit, every later take fails.
+//
+//tradeoffvet:outofband the restricted-use limit is a contract with the caller, not a shared-memory step of the algorithm
+type quota struct {
+	used  atomic.Int64
+	limit int64
+	_     [48]byte // a cache line of its own: every update writes used
+}
+
+// take admits one use, or reports false once limit uses were admitted.
+func (q *quota) take() bool { return q.used.Add(1) <= q.limit }
+
 // wordBudget returns base + count*per, saturating at math.MaxInt64 so a huge
 // declared limit costs nothing until it is used.
 func wordBudget(base, count, per int64) int64 {

@@ -10,27 +10,30 @@ import (
 // FArray is the constant-Scan snapshot: a Jayanti-style f-array (PODC
 // 2002) whose aggregate is view concatenation. Leaves hold raw segment
 // values; every internal node holds (the word-arena offset of) the
-// concatenated view of its subtree, refreshed twice per level on each
-// update's leaf-to-root path, so the root always holds a linearizable full
-// view.
+// concatenated view of its subtree, refreshed on each update's
+// leaf-to-root path until one CAS succeeds (at most twice per level, as in
+// internal/farray), so the root always holds a linearizable full view.
 //
 //	Scan:   1 step (read the root's view offset; dereference is local).
-//	Update: O(log N) steps (leaf write + 8 per level).
+//	Update: O(log N) steps (leaf write + 4 per level uncontended, 8 at
+//	        worst).
 //
 // Corollary 1 of the paper proves this update cost is asymptotically
 // optimal for any snapshot with O(1) — indeed any o(log N)-competitive —
 // Scan from read/write/CAS. The E2 experiment measures both sides.
 //
-// The object is restricted-use: a construction-time update budget sizes the
-// view arena's word budget (each update refreshes two views of every node
-// on its leaf-to-root path, and a node's view is as wide as its subtree).
+// The object is restricted-use: Update admits at most maxUpdates calls in
+// total, counted on entry. The count, not the view arena, enforces the
+// limit; the arena's word budget is the memory bound, sized for every
+// admitted update taking its worst case (two views of every node on its
+// leaf-to-root path, a node's view as wide as its subtree).
 type FArray struct {
-	n     int
-	tree  *b1tree.Tree
-	regs  []*primitive.Register
-	width []int // width[k]: leaves under tree.Nodes[k], so its view's word count
-	views *words
-	limit int64
+	n       int
+	tree    *b1tree.Tree
+	regs    []*primitive.Register
+	width   []int // width[k]: leaves under tree.Nodes[k], so its view's word count
+	views   *words
+	updates *quota
 }
 
 var _ Snapshot = (*FArray)(nil)
@@ -74,11 +77,11 @@ func NewFArray(pool *primitive.Pool, n int, maxUpdates int64) (*FArray, error) {
 		}
 	}
 	s := &FArray{
-		n:     n,
-		tree:  tree,
-		width: width,
-		views: &words{limit: wordBudget(initial, maxUpdates, perUpdate)},
-		limit: maxUpdates,
+		n:       n,
+		tree:    tree,
+		width:   width,
+		views:   &words{limit: wordBudget(initial, maxUpdates, perUpdate)},
+		updates: &quota{limit: maxUpdates},
 	}
 
 	s.regs = make([]*primitive.Register, len(tree.Nodes))
@@ -97,7 +100,7 @@ func NewFArray(pool *primitive.Pool, n int, maxUpdates int64) (*FArray, error) {
 func (s *FArray) Components() int { return s.n }
 
 // Depth returns the complete tree's leaf depth — the "logn" symbol of
-// the certified Update bound (steps <= 8logn+1).
+// the certified Update bound (steps <= 8logn+1, 4logn+1 uncontended).
 func (s *FArray) Depth() int { return s.tree.LeafDepth(0) }
 
 // Scan implements Snapshot in exactly one shared-memory step. The returned
@@ -143,15 +146,20 @@ func (s *FArray) ScanInto(ctx primitive.Context, dst []int64) []int64 {
 	return append(dst, s.views.view(ctx.Read(s.regs[root.Index]), s.n)...)
 }
 
-// Update implements Snapshot in O(log N) steps: one leaf write plus two
-// read-merge-CAS refreshes per level, each merge reading both children
-// into a freshly reserved view.
+// Update implements Snapshot in O(log N) steps: one leaf write plus, per
+// level, read-merge-CAS refreshes until one CAS succeeds (at most two),
+// each merge reading both children into a freshly reserved view. Past the
+// update limit it returns a *CapacityError without taking a step.
 //
 //tradeoffvet:bound steps<=8logn+1 reads<=6logn writes<=1 cas<=2logn
+//tradeoffvet:bound steps<=4logn+1 uncontended
 func (s *FArray) Update(ctx primitive.Context, v int64) error {
 	id, err := checkID(ctx, s.n)
 	if err != nil {
 		return err
+	}
+	if !s.updates.take() {
+		return &CapacityError{Object: "farray snapshot", Limit: s.updates.limit}
 	}
 	leaf := s.tree.Leaves[id]
 	ctx.Write(s.regs[leaf.Index], v)
@@ -162,13 +170,14 @@ func (s *FArray) Update(ctx primitive.Context, v int64) error {
 		left := s.width[node.Left.Index]
 		for attempt := 0; attempt < 2; attempt++ {
 			oldOff := ctx.Read(cell)
-			newOff, merged, ok := s.views.reserve(s.width[node.Index])
-			if !ok {
-				return &CapacityError{Object: "farray snapshot", Limit: s.limit}
-			}
+			// The word budget covers every admitted update's worst case,
+			// so this reservation cannot fail.
+			newOff, merged, _ := s.views.reserve(s.width[node.Index])
 			s.readChild(ctx, merged[:left], node.Left)
 			s.readChild(ctx, merged[left:], node.Right)
-			ctx.CAS(cell, oldOff, newOff)
+			if ctx.CAS(cell, oldOff, newOff) {
+				break
+			}
 		}
 	}
 	return nil

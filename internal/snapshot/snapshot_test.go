@@ -212,7 +212,7 @@ func TestUpdateStepComplexity(t *testing.T) {
 		if got := steps(impls["doublecollect"]); got != 2 {
 			t.Fatalf("n=%d: doublecollect Update = %d steps, want 2", n, got)
 		}
-		// FArray update: 1 leaf write + per level (1 read + 2 child reads + 1 CAS) * 2.
+		// FArray update: 1 leaf write + per level (1 read + 2 child reads + 1 CAS) * at most 2.
 		depth := int64(bits.Len(uint(n - 1)))
 		if got, budget := steps(impls["farray"]), 1+8*depth; got > budget {
 			t.Fatalf("n=%d: farray Update = %d steps > %d", n, got, budget)
@@ -220,6 +220,25 @@ func TestUpdateStepComplexity(t *testing.T) {
 		// Afek update embeds a scan: 2n + own read + write, uncontended.
 		if got, budget := steps(impls["afek"]), int64(2*n+2); got > budget {
 			t.Fatalf("n=%d: afek Update = %d steps > %d", n, got, budget)
+		}
+	}
+}
+
+// TestSoloUpdateCostExact pins the uncontended cost of the f-array
+// snapshot: solo, the first CAS at every level succeeds, so an Update is
+// one leaf write and 4 steps per level, from every leaf.
+func TestSoloUpdateCostExact(t *testing.T) {
+	for _, n := range []int{2, 3, 5, 8, 64} {
+		s, err := NewFArray(primitive.NewPool(), n, int64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, leaf := range s.tree.Leaves {
+			want := int64(1 + 4*leaf.Depth)
+			ctx := primitive.NewCounting(primitive.NewDirect(id))
+			if got := ctx.Measure(func() { err = s.Update(ctx, 7) }); err != nil || got != want {
+				t.Fatalf("n=%d id=%d: Update took %d steps (err %v), want %d", n, id, got, err, want)
+			}
 		}
 	}
 }
