@@ -247,6 +247,7 @@ fuzz:
 	$(GO) test -fuzz FuzzMaxRegisterAgreement -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz FuzzMaxRegisterCheckerSoundness -fuzztime $(FUZZTIME) ./internal/history
 	$(GO) test -fuzz FuzzCounterCheckerSoundness -fuzztime $(FUZZTIME) ./internal/history
+	$(GO) test -fuzz FuzzSnapshotCheckerSoundness -fuzztime $(FUZZTIME) ./internal/history
 
 # CI-sized fuzz pass.
 fuzz-smoke:

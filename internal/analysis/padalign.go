@@ -18,9 +18,11 @@ var padalignExempt = []string{
 }
 
 // Padalign requires hot-path register arrays to come from cache-line
-// padded arenas: PR 2 measured false sharing between adjacent unpadded
-// registers under multi-writer contention, so production call sites (the
-// facade, examples, servers) must allocate with primitive.NewPadded.
+// padded arenas: false sharing between adjacent unpadded registers was
+// measured under multi-writer contention, so production call sites (the
+// facade, examples, servers) must allocate with primitive.NewPadded. Its
+// New gives each register a line of its own; NewNear shares a line on
+// purpose, for registers every operation touches together.
 // primitive.NewPool stays legal in the simulator/adversary/bench
 // harnesses, where a deterministic scheduler serializes every access.
 var Padalign = &Analyzer{
@@ -52,7 +54,7 @@ func runPadalign(pass *Pass) error {
 			if !ok || fn.Name() != "NewPool" || fn.Pkg() == nil || !isPrimitivePackage(fn.Pkg().Path()) {
 				return true
 			}
-			pass.Reportf(call.Pos(), "primitive.NewPool allocates unpadded registers that false-share cache lines on hot paths: use primitive.NewPadded, or annotate //tradeoffvet:unpadded where the dense layout is deliberate")
+			pass.Reportf(call.Pos(), "primitive.NewPool allocates unpadded registers that false-share cache lines on hot paths: use primitive.NewPadded, whose New gives each register its own line (NewNear shares one only on purpose), or annotate //tradeoffvet:unpadded where the dense layout is deliberate")
 			return true
 		})
 	}

@@ -153,6 +153,14 @@ func NewWithInitial(pool *primitive.Pool, n int, agg Aggregate, initial int64) (
 			}
 			init = 0
 		}
+		if node.Parent == tree.Root {
+			// Every update ends by reading both of the root's children
+			// and CASing the root, so the three share one cache line:
+			// one line transfer per update instead of three. Preorder
+			// allocated the root first.
+			f.values[k] = pool.NewNear(f.values[tree.Root.Index], "farray.node", init)
+			continue
+		}
 		f.values[k] = pool.New("farray.node", init)
 	}
 	return f, nil

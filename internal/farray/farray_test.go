@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/restricteduse/tradeoffs/internal/primitive"
 )
@@ -315,5 +316,36 @@ func TestQuickSumMatchesModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestPaddedRootSharesLineWithChildren(t *testing.T) {
+	line := func(r *primitive.Register) uintptr {
+		return uintptr(unsafe.Pointer(r)) / primitive.CacheLineSize
+	}
+	for _, n := range []int{2, 3, 5, 64} {
+		f, err := New(primitive.NewPadded(), n, Sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := f.tree.Root
+		rootLine := line(f.values[root.Index])
+		if line(f.values[root.Left.Index]) != rootLine || line(f.values[root.Right.Index]) != rootLine {
+			t.Fatalf("n=%d: the root's children are not on the root's line", n)
+		}
+		owner := make(map[uintptr]int)
+		for k, r := range f.values {
+			if node := f.tree.Nodes[k]; node == root || node.Parent == root {
+				continue
+			}
+			l := line(r)
+			if l == rootLine {
+				t.Fatalf("n=%d: node %d shares the root's line", n, k)
+			}
+			if prev, dup := owner[l]; dup {
+				t.Fatalf("n=%d: nodes %d and %d share a line", n, prev, k)
+			}
+			owner[l] = k
+		}
 	}
 }

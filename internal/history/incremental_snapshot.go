@@ -32,14 +32,22 @@ type IncrementalSnapshot struct {
 
 	segs map[int]*snapSeg
 
-	// frontier is the pointwise max over resolved scans whose response
-	// dropped below the seal sweep; open holds resolved scans still
-	// overlapping it, appended in response order.
+	// frontier is the pointwise max over sealed scans that ended before
+	// every scan not yet sealed began; open holds the other sealed scans,
+	// appended in response order.
 	frontier []int
 	open     []resolvedScan
 
 	// deferred holds admitted scans awaiting resolution at Seal, by Res.
 	deferred *minHeap[Op]
+
+	// scanInvs holds every admitted scan's invocation in admit (that is,
+	// invocation) order from scanLo on, and sealedInvs those of the
+	// sealed ones. Both drop a matching front entry together, so
+	// scanInvs[scanLo] is the least invocation of a scan not yet sealed.
+	scanInvs   []int64
+	scanLo     int
+	sealedInvs *minHeap[int64]
 }
 
 // snapSeg is per-segment update state. Updates in one segment are
@@ -71,9 +79,10 @@ const unknownIdx = -1
 // scanned 0, which an unobserved update may legitimately have written.
 func NewIncrementalSnapshot(relaxed bool) *IncrementalSnapshot {
 	return &IncrementalSnapshot{
-		relaxed:  relaxed,
-		segs:     make(map[int]*snapSeg),
-		deferred: newMinHeap(opResLess),
+		relaxed:    relaxed,
+		segs:       make(map[int]*snapSeg),
+		deferred:   newMinHeap(opResLess),
+		sealedInvs: newMinHeap(func(a, b int64) bool { return a < b }),
 	}
 }
 
@@ -109,6 +118,7 @@ func (c *IncrementalSnapshot) Admit(op Op) *ViolationError {
 		seg.ress = append(seg.ress, op.Res)
 	case KindScan:
 		c.deferred.Push(op)
+		c.scanInvs = append(c.scanInvs, op.Inv)
 	}
 	return nil
 }
@@ -136,16 +146,22 @@ func (s *snapSeg) prune(t int64) {
 	}
 }
 
-// minPendingInv lower-bounds every future window query: scans still
-// deferred plus anything yet to be admitted (Inv >= lastInv).
+// minPendingInv is the least invocation of a scan not yet sealed: scans
+// still deferred plus anything yet to be admitted (Inv >= lastInv). It
+// lower-bounds every future window query. Amortized O(log n).
 func (c *IncrementalSnapshot) minPendingInv() int64 {
-	t := c.lastInv
-	for _, op := range c.deferred.items {
-		if op.Inv < t {
-			t = op.Inv
-		}
+	for c.scanLo < len(c.scanInvs) && c.sealedInvs.Len() > 0 && c.sealedInvs.Peek() == c.scanInvs[c.scanLo] {
+		c.sealedInvs.Pop()
+		c.scanLo++
 	}
-	return t
+	if c.scanLo > len(c.scanInvs)/2 {
+		c.scanInvs = c.scanInvs[:copy(c.scanInvs, c.scanInvs[c.scanLo:])]
+		c.scanLo = 0
+	}
+	if c.scanLo < len(c.scanInvs) {
+		return c.scanInvs[c.scanLo]
+	}
+	return c.lastInv
 }
 
 // resolve maps a scan's value vector to update indices; unknownIdx marks
@@ -239,47 +255,69 @@ func foldInto(frontier []int, vec []int) []int {
 	return frontier
 }
 
+// dominates reports whether view has caught up with floor on every
+// component both resolve (unknown components never cause a violation).
+func dominates(view, floor []int) bool {
+	if len(view) != len(floor) {
+		return true
+	}
+	for i, f := range floor {
+		if view[i] != unknownIdx && view[i] < f {
+			return false
+		}
+	}
+	return true
+}
+
 // Seal implements Incremental. Scans are resolved and checked in response
 // order: by the time a scan's response drops below the watermark, every
 // update it could have seen (invoked before its response) is admitted.
+//
+// A scan sealed later may have been invoked earlier, so an open scan is
+// folded into the frontier only once it ended before every scan not yet
+// sealed began. Until then each sealed scan is checked against it
+// directly: it must dominate the open scans that ended before it began,
+// and be comparable with the ones that overlap it.
 func (c *IncrementalSnapshot) Seal(upTo int64) *ViolationError {
 	if upTo > c.sealedTo {
 		c.sealedTo = upTo
 	}
 	for c.deferred.Len() > 0 && c.deferred.Peek().Res < upTo {
 		s := c.deferred.Pop()
+
+		// open is in response order, so the scans to fold are a prefix.
+		// s still counts as unsealed here.
+		floor := c.minPendingInv()
+		k := 0
+		for ; k < len(c.open) && c.open[k].res < floor; k++ {
+			c.frontier = foldInto(c.frontier, c.open[k].vec)
+		}
+		c.open = c.open[:copy(c.open, c.open[k:])]
+		c.sealedInvs.Push(s.Inv)
+
 		vec, verr := c.resolve(s)
 		if verr != nil {
 			return verr
 		}
 
-		// Retire open scans that ended before this one began: their views
-		// become the real-time floor.
-		keep := c.open[:0]
-		for _, o := range c.open {
-			if o.res < s.Inv {
-				c.frontier = foldInto(c.frontier, o.vec)
-			} else {
-				keep = append(keep, o)
+		// Real-time condition: this view must dominate every view that
+		// completed before it began.
+		if !dominates(vec, c.frontier) {
+			return &ViolationError{
+				Checker: "snapshot",
+				Detail:  fmt.Sprintf("scan view %v older than a preceding scan's %v", vec, c.frontier),
+				Op:      s,
 			}
 		}
-		c.open = keep
-
-		// Real-time condition: this view must dominate the floor.
-		if len(c.frontier) == len(vec) {
-			for i, f := range c.frontier {
-				if vec[i] != unknownIdx && vec[i] < f {
-					return &ViolationError{
-						Checker: "snapshot",
-						Detail:  fmt.Sprintf("scan view %v older than a preceding scan's %v", vec, c.frontier),
-						Op:      s,
-					}
+		for _, o := range c.open {
+			if o.res < s.Inv && !dominates(vec, o.vec) {
+				return &ViolationError{
+					Checker: "snapshot",
+					Detail:  fmt.Sprintf("scan view %v older than a preceding scan's %v", vec, o.vec),
+					Op:      s,
 				}
 			}
-		}
-
-		// Chain condition: overlapping views must still be comparable.
-		for _, o := range c.open {
+			// Chain condition: overlapping views must still be comparable.
 			if !vecsComparable(o.vec, vec) {
 				return &ViolationError{
 					Checker: "snapshot",

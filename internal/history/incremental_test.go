@@ -324,6 +324,44 @@ func TestIncrementalRelaxedSnapshotZeroScan(t *testing.T) {
 	}
 }
 
+// TestIncrementalSnapshotLongScanSpansShortOne pins the false alarm the
+// live monitor raised: a long scan that spans a short one, sealed after
+// the short scan's successor. The long scan legally returns update #1
+// (#2 had not completed when it began) while the short scan inside it
+// returned #2. Sealing the successor must not fold the short scan into
+// the real-time floor, because the long scan it overlaps is still open.
+func TestIncrementalSnapshotLongScanSpansShortOne(t *testing.T) {
+	ops := []Op{
+		{Proc: 1, Kind: KindUpdate, Arg: 1, Inv: 1, Res: 2},
+		{Proc: 1, Kind: KindUpdate, Arg: 2, Inv: 3, Res: 8},
+		{Proc: 0, Kind: KindScan, RetVec: []int64{0, 1, 0}, Inv: 5, Res: 12}, // long
+		{Proc: 2, Kind: KindScan, RetVec: []int64{0, 2, 0}, Inv: 6, Res: 7},  // short, inside it
+		{Proc: 2, Kind: KindScan, RetVec: []int64{0, 2, 0}, Inv: 9, Res: 10}, // its successor
+	}
+	if err := CheckLinearizable(ops, SnapshotSpec{N: 3}); err != nil {
+		t.Fatalf("witness is not linearizable: %v", err)
+	}
+	if err := CheckSnapshot(ops); err != nil {
+		t.Fatalf("batch checker rejected the witness: %v", err)
+	}
+	if v := runStream(NewIncrementalSnapshot(false), ops); v != nil {
+		t.Fatalf("incremental checker rejected the witness: %v", v)
+	}
+
+	// The same scans with the successor returning #1: it began after the
+	// short scan ended, so its view went backwards. The short scan is
+	// still open (the long scan has not been sealed), and the check
+	// against it must catch that.
+	stale := append([]Op(nil), ops...)
+	stale[4].RetVec = []int64{0, 1, 0}
+	if CheckLinearizable(stale, SnapshotSpec{N: 3}) == nil {
+		t.Fatal("stale variant is linearizable")
+	}
+	if v := runStream(NewIncrementalSnapshot(false), stale); v == nil || v.Op.Inv != 9 {
+		t.Fatalf("incremental checker missed the stale successor: %v", v)
+	}
+}
+
 // TestIncrementalConsensusDecidesZero pins the decided-0 coverage fix:
 // a first propose deciding 0 must count as a decision, so a later
 // propose deciding differently is an agreement violation.
@@ -443,4 +481,48 @@ func TestIncrementalFoldedStateStaysSmall(t *testing.T) {
 	if sum.CompletedWeight == 0 || sum.StartedWeight != total {
 		t.Fatalf("summary did not fold: %+v", sum)
 	}
+}
+
+// feedInOrder admits ops (already in invocation order) one by one and
+// seals up to each invocation, the tightest watermark the admission
+// contract allows.
+func feedInOrder(c Incremental, ops []Op) *ViolationError {
+	for _, op := range ops {
+		if v := c.Admit(op); v != nil {
+			return v
+		}
+		if v := c.Seal(op.Inv); v != nil {
+			return v
+		}
+	}
+	return c.Seal(sealAll)
+}
+
+// TestIncrementalSnapshotStateStaysSmall is the snapshot checker's
+// eviction claim: open scans and the pending-invocation queue stay bounded
+// by the overlap degree, not the history length.
+func TestIncrementalSnapshotStateStaysSmall(t *testing.T) {
+	ops := genSnapshotOps(rand.New(rand.NewSource(1)), 20000, 3, true)
+	c := NewIncrementalSnapshot(false)
+	if v := feedInOrder(c, ops); v != nil {
+		t.Fatalf("legal run rejected: %v", v)
+	}
+	if len(c.open) > 16 || len(c.scanInvs) > 32 || c.sealedInvs.Len() > 16 || c.deferred.Len() > 16 {
+		t.Fatalf("state not folded: open=%d scanInvs=%d sealedInvs=%d deferred=%d",
+			len(c.open), len(c.scanInvs), c.sealedInvs.Len(), c.deferred.Len())
+	}
+}
+
+// BenchmarkIncrementalSnapshot measures the streaming snapshot checker's
+// cost per admitted operation on a legal three-segment history.
+func BenchmarkIncrementalSnapshot(b *testing.B) {
+	ops := genSnapshotOps(rand.New(rand.NewSource(1)), 4096, 3, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v := feedInOrder(NewIncrementalSnapshot(false), ops); v != nil {
+			b.Fatal(v)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ops)), "ns/admit")
 }

@@ -11,6 +11,11 @@
 //
 // A "step" in the paper is exactly one shared-memory event: one call to
 // Context.Read, Context.Write, or Context.CAS.
+//
+// Layout never changes a step. A pool built with NewPadded gives each
+// register from New a cache line of its own, and NewNear places a register
+// on an earlier one's line on purpose, for registers every operation
+// touches together (the f-array root and its two children).
 package primitive
 
 import (
@@ -23,18 +28,21 @@ import (
 // Register is a single word-sized shared base object. Its zero value is a
 // register holding 0, but registers used with internal/sim or internal/aware
 // must be allocated from a Pool so they carry stable identifiers.
+//
+// A Register is 16 bytes, so four fit in one cache line: the value word
+// first, then the identifier and an index into the process-wide name table.
 type Register struct {
-	id   int
-	name string
 	v    atomic.Int64
+	id   int32
+	name int32
 }
 
 // ID returns the pool-assigned identifier of the register, or 0 for
 // registers not allocated from a Pool.
-func (r *Register) ID() int { return r.id }
+func (r *Register) ID() int { return int(r.id) }
 
 // Name returns the human-readable name given at allocation time.
-func (r *Register) Name() string { return r.name }
+func (r *Register) Name() string { return registerNames.lookup(r.name) }
 
 // Load atomically reads the register. Algorithm code must use a Context
 // instead so that the access is counted as a step; Load exists for
@@ -54,43 +62,96 @@ func (r *Register) CompareAndSwap(old, new int64) bool {
 
 // String implements fmt.Stringer for diagnostics.
 func (r *Register) String() string {
-	if r.name == "" {
+	if r.name == 0 {
 		return fmt.Sprintf("reg#%d", r.id)
 	}
-	return fmt.Sprintf("%s#%d", r.name, r.id)
+	return fmt.Sprintf("%s#%d", r.Name(), r.id)
 }
+
+// nameTable interns register names, so a Register stores a 4-byte index
+// instead of a string header. It is process-wide and append-only: names
+// are static strings or "base[i]", so it stays bounded however many pools
+// are built. Index 0 is the empty name.
+type nameTable struct {
+	mu    sync.Mutex
+	ids   map[string]int32         // guarded by mu
+	names atomic.Pointer[[]string] // grows under mu; published entries never change
+
+	// recent caches one lookup per slot, chosen by the address of the
+	// name's bytes. Objects name their registers from a few string
+	// constants, so builds mostly hit here: without a lock, and with a
+	// cache miss or two where the map costs several once a workload has
+	// evicted it between builds.
+	recent [1 << 4]atomic.Pointer[internedName] // indexed by the top 4 hash bits
+}
+
+type internedName struct {
+	name string
+	id   int32
+}
+
+var registerNames = newNameTable()
+
+func newNameTable() *nameTable {
+	t := &nameTable{ids: map[string]int32{"": 0}}
+	t.names.Store(&[]string{""})
+	return t
+}
+
+// intern returns the index of name, adding it on first use.
+func (t *nameTable) intern(name string) int32 {
+	// Fibonacci hashing of the bytes address: string constants sit a
+	// few bytes apart, and the top bits still tell them apart.
+	slot := &t.recent[uint64(uintptr(unsafe.Pointer(unsafe.StringData(name))))*0x9E3779B97F4A7C15>>60]
+	if e := slot.Load(); e != nil && e.name == name {
+		return e.id
+	}
+	t.mu.Lock()
+	id, ok := t.ids[name]
+	if !ok {
+		names := append(*t.names.Load(), name)
+		id = int32(len(names) - 1)
+		t.names.Store(&names)
+		t.ids[name] = id
+	}
+	t.mu.Unlock()
+	slot.Store(&internedName{name, id})
+	return id
+}
+
+func (t *nameTable) lookup(id int32) string { return (*t.names.Load())[id] }
 
 // CacheLineSize is the coherence granularity the padded allocation mode
 // targets: 64 bytes on every platform this repository runs on (x86-64,
 // arm64).
 const CacheLineSize = 64
 
-// registerPad rounds Register up to the next cache-line multiple. The
-// (… % CacheLineSize) keeps the expression valid (a zero-length pad) if
-// Register ever grows to an exact line multiple.
-const registerPad = (CacheLineSize - unsafe.Sizeof(Register{})%CacheLineSize) % CacheLineSize
+// lineRegisters is how many registers one cache line holds.
+const lineRegisters = CacheLineSize / int(unsafe.Sizeof(Register{}))
 
-// paddedRegister is an arena cell: one Register stretched to own a full
-// cache line, so tree siblings allocated back to back never false-share.
-type paddedRegister struct {
-	reg Register
-	_   [registerPad]byte
-}
+// cacheLine is an arena cell: the registers of one 64-byte line. New
+// starts a fresh line at slot 0 and leaves the rest empty, so tree
+// siblings allocated back to back never false-share; NewNear fills the
+// empty slots.
+type cacheLine [lineRegisters]Register
 
-// arenaChunk is how many padded registers each arena allocation holds.
-// Chunking keeps the registers of one object contiguous (good for the
-// heatmap and for prefetching) without per-register allocator overhead.
+// arenaChunk is how many lines each arena allocation holds: 4 KiB, which
+// the Go allocator places on a 4 KiB boundary, so every cell starts a
+// line. Chunking keeps the registers of one object contiguous (good for
+// the heatmap and for prefetching) without per-register allocator
+// overhead.
 const arenaChunk = 64
 
 // Pool allocates registers with dense, stable identifiers. The identifiers
 // index the familiarity-set tables kept by internal/aware, so every register
 // an algorithm uses must come from the pool handed to its constructor.
 //
-// A pool built with NewPadded serves each register from a cache-line-padded
-// arena: every register owns a full 64-byte line, so hot tree siblings
-// (Algorithm A nodes, f-array leaves) never false-share. Identifiers are
-// identical in both modes — padding is invisible to internal/aware and the
-// observability heatmap.
+// A pool built with NewPadded serves registers from a cache-line arena. New
+// gives each register a 64-byte line of its own, so hot tree siblings
+// (Algorithm A nodes, f-array leaves) never false-share. NewNear shares a
+// line on purpose, for registers that every operation touches together.
+// Identifiers are identical in both modes — padding is invisible to
+// internal/aware and the observability heatmap.
 //
 // Pool is safe for concurrent allocation, though well-behaved algorithms
 // allocate all their registers at construction time.
@@ -99,18 +160,31 @@ type Pool struct {
 	// regs holds every register ever allocated; live counts how many of
 	// them belong to the current cycle (live == len(regs) unless Reset has
 	// been called). Registers beyond live are dead storage waiting to be
-	// reissued by New.
-	regs   []*Register
-	live   int
-	padded bool
-	arena  []paddedRegister // remaining cells of the current chunk
+	// reissued by New or NewNear.
+	regs []*Register
+	live int
+	// chunk is a padded pool's current arena chunk, and started counts
+	// the lines New has started in it. (A pointer and a count rather than
+	// a slice keep Pool at 80 bytes: one size class up, building a facade
+	// object right after a GC measured about 9% slower.)
+	chunk *[arenaChunk]cacheLine
+	// lastName and lastID cache the pool's most recent name lookup: most
+	// objects name their registers alike.
+	lastName string
+	lastID   int32
+	started  int32
+	padded   bool
+	// misaligned records a chunk that does not start a cache line, which
+	// the Go allocator never produces for 4 KiB objects; NewNear then
+	// stops sharing, because it finds a register's line by its address.
+	misaligned bool
 }
 
 // NewPool returns an empty register pool allocating unpadded registers.
 func NewPool() *Pool { return &Pool{} }
 
 // NewPadded returns an empty register pool whose registers are allocated
-// from cache-line-padded arenas: each register starts a fresh 64-byte line.
+// from cache-line arenas: New starts each register on a fresh 64-byte line.
 // This is the allocation mode of the native (public API) backend; the
 // simulator and the step-counting experiments use NewPool, where spatial
 // layout cannot matter.
@@ -124,33 +198,89 @@ func (p *Pool) Padded() bool { return p.padded }
 func (p *Pool) New(name string, init int64) *Register {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-
 	if p.live < len(p.regs) {
-		// Reissue a register from a pre-Reset cycle: same storage, same
-		// identifier, re-initialized as if freshly allocated.
-		r := p.regs[p.live]
-		r.name = name
-		r.v.Store(init)
-		p.live++
-		return r
+		return p.reissue(name, init)
 	}
+	return p.issue(p.fresh(), name, init)
+}
 
-	var r *Register
-	if p.padded {
-		if len(p.arena) == 0 {
-			p.arena = make([]paddedRegister, arenaChunk)
-		}
-		r = &p.arena[0].reg
-		p.arena = p.arena[1:]
-	} else {
-		r = &Register{}
+// NewNear allocates a register initialized to init on the cache line of
+// near, an earlier register of this pool, so that one line transfer moves
+// both. Use it only for registers every operation touches together: any
+// other sharing is false sharing. It falls back to New when the pool is
+// unpadded, when near comes from another pool, and when near's line is
+// full. Identifiers stay in allocation order, as with New.
+func (p *Pool) NewNear(near *Register, name string, init int64) *Register {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.live < len(p.regs) {
+		return p.reissue(name, init)
 	}
-	r.id = len(p.regs)
-	r.name = name
+	if p.padded && !p.misaligned && p.owns(near) {
+		// near sits in a cacheLine cell of an arena chunk. New started
+		// that line at slot 0, so an empty slot is one whose id is
+		// still 0.
+		line := (*cacheLine)(unsafe.Add(unsafe.Pointer(near), -int(uintptr(unsafe.Pointer(near))%CacheLineSize)))
+		for k := 1; k < lineRegisters; k++ {
+			if line[k].id == 0 {
+				return p.issue(&line[k], name, init)
+			}
+		}
+	}
+	return p.issue(p.fresh(), name, init)
+}
+
+// fresh returns unissued storage: slot 0 of a new line in a padded pool.
+// Callers hold p.mu.
+func (p *Pool) fresh() *Register {
+	if !p.padded {
+		return &Register{}
+	}
+	if p.chunk == nil || p.started == arenaChunk {
+		p.chunk, p.started = new([arenaChunk]cacheLine), 0
+		p.misaligned = p.misaligned || uintptr(unsafe.Pointer(p.chunk))%CacheLineSize != 0
+	}
+	p.started++
+	return &p.chunk[p.started-1][0]
+}
+
+// owns reports whether r was allocated from p. Callers hold p.mu.
+func (p *Pool) owns(r *Register) bool {
+	return r != nil && int(r.id) < len(p.regs) && p.regs[r.id] == r
+}
+
+// reissue returns the next register of a pre-Reset cycle — same storage,
+// same identifier, re-initialized as if freshly allocated. Callers hold
+// p.mu and have checked that one is left.
+func (p *Pool) reissue(name string, init int64) *Register {
+	r := p.regs[p.live]
+	if registerNames.lookup(r.name) != name {
+		// A deterministic builder reissues every register under its old
+		// name, so this is rare.
+		r.name = p.intern(name)
+	}
+	r.v.Store(init)
+	p.live++
+	return r
+}
+
+// issue gives r the next identifier. Callers hold p.mu.
+func (p *Pool) issue(r *Register, name string, init int64) *Register {
+	r.id = int32(len(p.regs))
+	r.name = p.intern(name)
 	r.v.Store(init)
 	p.regs = append(p.regs, r)
 	p.live++
 	return r
+}
+
+// intern resolves name through the pool's one-entry cache. Callers hold
+// p.mu.
+func (p *Pool) intern(name string) int32 {
+	if name != p.lastName {
+		p.lastName, p.lastID = name, registerNames.intern(name)
+	}
+	return p.lastID
 }
 
 // Reset empties the pool for reuse: registers allocated after the call

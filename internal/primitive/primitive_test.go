@@ -268,8 +268,10 @@ func TestRegisterConcurrentCASIncrement(t *testing.T) {
 
 func TestPaddedPoolIdentifiersAndSemantics(t *testing.T) {
 	// A padded pool must be observationally identical to a plain pool:
-	// dense ids in allocation order, honored initial values, working
-	// Get/Registers — only the memory layout differs.
+	// dense ids in allocation order, honored initial values, names,
+	// working Get/Registers — only the memory layout differs. That holds
+	// for New and for NewNear, which places every third register on the
+	// line of the one before it.
 	p := NewPadded()
 	if !p.Padded() {
 		t.Fatal("NewPadded().Padded() = false")
@@ -278,27 +280,121 @@ func TestPaddedPoolIdentifiersAndSemantics(t *testing.T) {
 		t.Fatal("NewPool().Padded() = true")
 	}
 	const n = 3*arenaChunk + 5 // span several arena chunks
-	regs := make([]*Register, n)
-	for i := range regs {
-		regs[i] = p.New(fmt.Sprintf("r%d", i), int64(i))
-	}
-	if p.Len() != n {
-		t.Fatalf("Len = %d, want %d", p.Len(), n)
-	}
-	for i, r := range regs {
-		if r.ID() != i {
-			t.Fatalf("regs[%d].ID() = %d", i, r.ID())
+	for _, near := range []bool{false, true} {
+		p := NewPadded()
+		regs := make([]*Register, n)
+		for i := range regs {
+			name := fmt.Sprintf("r%d", i)
+			if near && i%3 == 2 {
+				regs[i] = p.NewNear(regs[i-1], name, int64(i))
+			} else {
+				regs[i] = p.New(name, int64(i))
+			}
 		}
-		if r.Load() != int64(i) {
-			t.Fatalf("regs[%d] init = %d, want %d", i, r.Load(), i)
+		if p.Len() != n {
+			t.Fatalf("near=%v: Len = %d, want %d", near, p.Len(), n)
 		}
-		if p.Get(i) != r {
-			t.Fatalf("Get(%d) did not return the allocated register", i)
+		for i, r := range regs {
+			if r.ID() != i {
+				t.Fatalf("near=%v: regs[%d].ID() = %d", near, i, r.ID())
+			}
+			if r.Load() != int64(i) {
+				t.Fatalf("near=%v: regs[%d] init = %d, want %d", near, i, r.Load(), i)
+			}
+			if want := fmt.Sprintf("r%d", i); r.Name() != want {
+				t.Fatalf("near=%v: regs[%d].Name() = %q, want %q", near, i, r.Name(), want)
+			}
+			if p.Get(i) != r {
+				t.Fatalf("near=%v: Get(%d) did not return the allocated register", near, i)
+			}
+		}
+		all := p.Registers()
+		if len(all) != n || all[0] != regs[0] || all[n-1] != regs[n-1] {
+			t.Fatalf("near=%v: Registers() out of order", near)
 		}
 	}
-	all := p.Registers()
-	if len(all) != n || all[0] != regs[0] || all[n-1] != regs[n-1] {
-		t.Fatal("Registers() out of order")
+}
+
+func TestRegisterSize(t *testing.T) {
+	// Four registers to a line, so the f-array root and both of its
+	// children fit in one.
+	if got := unsafe.Sizeof(Register{}); got != 16 {
+		t.Fatalf("Sizeof(Register{}) = %d, want 16", got)
+	}
+}
+
+// lineOf returns the cache line holding r's value word.
+func lineOf(r *Register) uintptr { return uintptr(unsafe.Pointer(&r.v)) / CacheLineSize }
+
+func TestNewNearSharesLine(t *testing.T) {
+	p := NewPadded()
+	owner := p.New("owner", 1)
+	other := p.New("other", 2)
+	near := []*Register{p.NewNear(owner, "a", 3), p.NewNear(owner, "b", 4), p.NewNear(other, "c", 5)}
+	for i, r := range near[:2] {
+		if lineOf(r) != lineOf(owner) {
+			t.Fatalf("near[%d] is not on its owner's line", i)
+		}
+	}
+	if lineOf(near[2]) != lineOf(other) || lineOf(other) == lineOf(owner) {
+		t.Fatal("NewNear(other) did not share other's own line")
+	}
+	// A line holds four registers: the next placement near owner (or near
+	// any register of its line) takes the last slot, then falls back.
+	last := p.NewNear(near[0], "d", 6)
+	if lineOf(last) != lineOf(owner) {
+		t.Fatal("fourth register did not fill the owner's line")
+	}
+	spill := p.NewNear(owner, "e", 7)
+	if lineOf(spill) == lineOf(owner) || lineOf(spill) == lineOf(other) {
+		t.Fatal("NewNear on a full line did not fall back to a fresh line")
+	}
+	for i, r := range p.Registers() {
+		if r.ID() != i || r.Load() != int64(i+1) {
+			t.Fatalf("register %d: id %d value %d", i, r.ID(), r.Load())
+		}
+	}
+}
+
+func TestNewNearFallsBack(t *testing.T) {
+	// Unpadded: a plain allocation with the usual id.
+	p := NewPool()
+	r := p.New("r", 0)
+	if got := p.NewNear(r, "s", 9); got.ID() != 1 || got.Load() != 9 || got == r {
+		t.Fatalf("unpadded NewNear = %v holding %d", got, got.Load())
+	}
+	// A register from another pool, or nil, gets a fresh line.
+	q := NewPadded()
+	base := q.New("base", 0)
+	for _, near := range []*Register{r, nil} {
+		got := q.NewNear(near, "x", 0)
+		if lineOf(got) == lineOf(base) {
+			t.Fatalf("NewNear(%v) shared a line it does not own", near)
+		}
+	}
+}
+
+func TestNewNearReissuesAfterReset(t *testing.T) {
+	p := NewPadded()
+	build := func() []*Register {
+		root := p.New("root", 10)
+		mid := p.New("mid", 11)
+		return []*Register{root, mid, p.NewNear(root, "child", 12)}
+	}
+	first := build()
+	first[2].Store(99)
+	p.Reset()
+	second := build()
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("register %d moved after Reset", i)
+		}
+		if second[i].Load() != int64(10+i) {
+			t.Fatalf("register %d holds %d after Reset, want %d", i, second[i].Load(), 10+i)
+		}
+	}
+	if lineOf(second[2]) != lineOf(second[0]) {
+		t.Fatal("reissued near register left its owner's line")
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -27,6 +28,16 @@ import (
 // replay-reuse path under the exact linearizability oracle.
 func checkExhaustiveParallel(t *testing.T, build buildFn, spec history.Spec, opts sim.Options) int {
 	t.Helper()
+	execs, err := exploreExhaustiveParallel(build, spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return execs
+}
+
+// exploreExhaustiveParallel is checkExhaustiveParallel returning the first
+// failure instead of failing the test.
+func exploreExhaustiveParallel(build buildFn, spec history.Spec, opts sim.Options) (int, error) {
 	var recorders sync.Map // *sim.System -> *history.Recorder
 	buildSystem := func(rec *sim.Recycler) (*sim.System, error) {
 		pool := rec.Pool()
@@ -40,17 +51,13 @@ func checkExhaustiveParallel(t *testing.T, build buildFn, spec history.Spec, opt
 		recorders.Store(s, r)
 		return s, nil
 	}
-	execs, err := sim.ExploreParallel(buildSystem, func(s *sim.System) error {
+	return sim.ExploreParallel(buildSystem, func(s *sim.System) error {
 		r, ok := recorders.LoadAndDelete(s)
 		if !ok {
 			return fmt.Errorf("no recorder bound to system %p", s)
 		}
 		return history.CheckLinearizable(r.(*history.Recorder).Ops(), spec)
 	}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return execs
 }
 
 func buildExhaustiveAACMaxReg(pool *primitive.Pool) ([]sim.Program, *history.Recorder) {
@@ -66,17 +73,68 @@ func buildExhaustiveAACMaxReg(pool *primitive.Pool) ([]sim.Program, *history.Rec
 	}, rec
 }
 
-func buildExhaustiveCASCounter(pool *primitive.Pool) ([]sim.Program, *history.Recorder) {
-	rec := history.NewRecorder()
+// buildCounterRace races two increments against two reads. Every process
+// invokes its first operation before any step runs, so a lone read would
+// overlap both increments and accept any count; only the second read can
+// start after both finished and notice one lost.
+func buildCounterRace(newCtr func(pool *primitive.Pool) counter.Counter) buildFn {
+	return func(pool *primitive.Pool) ([]sim.Program, *history.Recorder) {
+		rec := history.NewRecorder()
+		c := newCtr(pool)
+		return []sim.Program{
+			counterProgram(c, rec, []history.Kind{history.KindIncrement}),
+			counterProgram(c, rec, []history.Kind{history.KindIncrement}),
+			counterProgram(c, rec, []history.Kind{history.KindCounterRead, history.KindCounterRead}),
+		}, rec
+	}
+}
+
+var buildExhaustiveCASCounter = buildCounterRace(func(pool *primitive.Pool) counter.Counter {
 	c, err := counter.NewCAS(pool, 0)
 	if err != nil {
 		panic(err)
 	}
-	return []sim.Program{
-		counterProgram(c, rec, []history.Kind{history.KindIncrement}),
-		counterProgram(c, rec, []history.Kind{history.KindIncrement}),
-		counterProgram(c, rec, []history.Kind{history.KindCounterRead}),
-	}, rec
+	return c
+})
+
+// lostUpdateCounter is a deliberately broken CAS counter: its Increment
+// reads and then writes, with no CAS, so two racing increments can both
+// write 1.
+type lostUpdateCounter struct{ r *primitive.Register }
+
+func (c lostUpdateCounter) Increment(ctx primitive.Context) error { return c.Add(ctx, 1) }
+
+func (c lostUpdateCounter) Add(ctx primitive.Context, delta int64) error {
+	ctx.Write(c.r, ctx.Read(c.r)+delta)
+	return nil
+}
+
+func (c lostUpdateCounter) Read(ctx primitive.Context) int64 { return ctx.Read(c.r) }
+
+func (lostUpdateCounter) Limit() int64 { return 0 }
+
+// TestExplorersCatchLostUpdate plants the bug the CAS counter's CAS exists
+// for: the sequential engine and the parallel one, with and without
+// reduction, must each find the lost increment.
+func TestExplorersCatchLostUpdate(t *testing.T) {
+	build := buildCounterRace(func(pool *primitive.Pool) counter.Counter {
+		return lostUpdateCounter{r: pool.New("counter", 0)}
+	})
+	check := func(engine string, execs int, err error) {
+		t.Helper()
+		var budget *sim.BudgetError
+		if err == nil || errors.As(err, &budget) {
+			t.Fatalf("%s missed the lost update after %d executions: err %v", engine, execs, err)
+		}
+		t.Logf("%s caught it: %v", engine, err)
+	}
+	execs, err := exploreExhaustive(build, history.CounterSpec{}, 100000)
+	check("Explore", execs, err)
+	for _, opts := range []sim.Options{{Workers: 1}, {Workers: 4}, {Workers: 2, Reduce: true}} {
+		opts.Budget = 100000
+		execs, err := exploreExhaustiveParallel(build, history.CounterSpec{}, opts)
+		check(fmt.Sprintf("ExploreParallel%+v", opts), execs, err)
+	}
 }
 
 func TestExhaustiveParallelAACMaxReg(t *testing.T) {
@@ -103,22 +161,15 @@ func TestExhaustiveParallelCASCounter(t *testing.T) {
 
 // TestExhaustiveReducedFArrayCounter explores every trace class of two
 // f-array increments racing two reads at n=2: the refresh's early exit on
-// a successful CAS must never lose an increment. Every process invokes its
-// first operation before any step runs, so it is the second read that can
-// start after both increments finished.
+// a successful CAS must never lose an increment.
 func TestExhaustiveReducedFArrayCounter(t *testing.T) {
-	build := func(pool *primitive.Pool) ([]sim.Program, *history.Recorder) {
-		rec := history.NewRecorder()
+	build := buildCounterRace(func(pool *primitive.Pool) counter.Counter {
 		c, err := counter.NewFArray(pool, 2)
 		if err != nil {
 			panic(err)
 		}
-		return []sim.Program{
-			counterProgram(c, rec, []history.Kind{history.KindIncrement}),
-			counterProgram(c, rec, []history.Kind{history.KindIncrement}),
-			counterProgram(c, rec, []history.Kind{history.KindCounterRead, history.KindCounterRead}),
-		}, rec
-	}
+		return c
+	})
 	execs := checkExhaustiveParallel(t, build, history.CounterSpec{}, sim.Options{Workers: 2, Budget: 100000, Reduce: true})
 	t.Logf("explored %d complete executions", execs)
 	if execs < 10 {

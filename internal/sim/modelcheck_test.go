@@ -67,6 +67,16 @@ func checkRandomSchedules(t *testing.T, build buildFn, spec history.Spec, trials
 // suite.
 func checkExhaustive(t *testing.T, build buildFn, spec history.Spec, budget int) int {
 	t.Helper()
+	execs, err := exploreExhaustive(build, spec, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return execs
+}
+
+// exploreExhaustive is checkExhaustive returning the first failure instead
+// of failing the test, for tests that expect a planted bug to be caught.
+func exploreExhaustive(build buildFn, spec history.Spec, budget int) (int, error) {
 	var rec *history.Recorder
 	buildSystem := func() (*sim.System, error) {
 		pool := primitive.NewPool()
@@ -80,13 +90,9 @@ func checkExhaustive(t *testing.T, build buildFn, spec history.Spec, budget int)
 		}
 		return s, nil
 	}
-	execs, err := sim.Explore(buildSystem, func(*sim.System) error {
+	return sim.Explore(buildSystem, func(*sim.System) error {
 		return history.CheckLinearizable(rec.Ops(), spec)
 	}, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return execs
 }
 
 // --- builders ---
@@ -275,20 +281,8 @@ func TestExhaustiveAACMaxReg(t *testing.T) {
 }
 
 func TestExhaustiveCASCounter(t *testing.T) {
-	// Every interleaving of two CAS increments and a read.
-	build := func(pool *primitive.Pool) ([]sim.Program, *history.Recorder) {
-		rec := history.NewRecorder()
-		c, err := counter.NewCAS(pool, 0)
-		if err != nil {
-			panic(err)
-		}
-		return []sim.Program{
-			counterProgram(c, rec, []history.Kind{history.KindIncrement}),
-			counterProgram(c, rec, []history.Kind{history.KindIncrement}),
-			counterProgram(c, rec, []history.Kind{history.KindCounterRead}),
-		}, rec
-	}
-	execs := checkExhaustive(t, build, history.CounterSpec{}, 100000)
+	// Every interleaving of two CAS increments and two reads.
+	execs := checkExhaustive(t, buildExhaustiveCASCounter, history.CounterSpec{}, 100000)
 	t.Logf("explored %d complete executions", execs)
 	if execs < 10 {
 		t.Fatalf("exploration degenerate: only %d executions", execs)

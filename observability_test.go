@@ -133,10 +133,10 @@ func TestObservabilityAutoNameSkipsTakenNames(t *testing.T) {
 	}
 }
 
-// TestRollbackReclaimsAutoName covers the registerObsAndFlight rollback
-// path: a construction whose flight tap fails must leave both registries
-// exactly as before — including the auto-name index, so the next unnamed
-// object reuses the freed family#k name in both.
+// TestRollbackReclaimsAutoName covers wire's rollback path: a
+// construction whose flight tap fails must leave both registries exactly
+// as before — including the auto-name index, so the next unnamed object
+// reuses the freed family#k name in both.
 func TestRollbackReclaimsAutoName(t *testing.T) {
 	o := NewObservability()
 	f1 := NewFlightRecorder(FlightConfig{SampleEvery: 1})
