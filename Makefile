@@ -16,14 +16,18 @@ race:
 # run the DPOR coverage cross-check (sim.CrossCheckReduction) at smoke
 # size on every config: reduced and unreduced exploration must visit the
 # same set of Mazurkiewicz trace classes — see docs/exploration.md.
+# The reduced run must also visit each class exactly once, so reduced
+# equals classes on every line.
 # The counter seeds are chosen so the random workloads draw increments,
 # not just reads (the default seed happens to draw all-reads at n=2
 # ops=2, which collapses to one trace class and checks nothing): seed 2
-# on cas is full=56 reduced=19 classes=16, seed 4 on farray is full=36
-# reduced=3 classes=3, and algorithm-a is full=210 reduced=6 (35x).
+# on cas is full=56 reduced=16 classes=16, and at ops=3 full=953
+# reduced=96 classes=96; seed 4 on farray is full=36 reduced=3 classes=3,
+# and algorithm-a is full=210 reduced=6 (35x).
 race-sim:
 	$(GO) test -race ./internal/sim/...
 	$(GO) run ./cmd/simtrace -object counter -impl cas -n 2 -ops 2 -seed 2 -crosscheck
+	$(GO) run ./cmd/simtrace -object counter -impl cas -n 2 -ops 3 -seed 2 -crosscheck
 	$(GO) run ./cmd/simtrace -object counter -impl farray -n 2 -ops 2 -seed 4 -crosscheck
 	$(GO) run ./cmd/simtrace -object maxreg -impl algorithm-a -n 2 -ops 2 -crosscheck
 

@@ -10,7 +10,10 @@
 //
 // The package deals only in tree *shape*: nodes carry parent/child links and
 // stable indices, and callers attach whatever per-node payload they need
-// (internal/core attaches one shared register per node).
+// (internal/core attaches one shared register per node). A tree's nodes are
+// created in preorder from one slab, so building one costs a fixed number of
+// allocations whatever its size: the simulator rebuilds trees thousands of
+// times per second while it explores schedules.
 package b1tree
 
 import (
@@ -47,8 +50,30 @@ type Tree struct {
 	// Leaves[i] is the leaf with Leaf == i.
 	Leaves []*Node
 
-	// Nodes lists every node; Nodes[k].Index == k.
+	// Nodes lists every node in preorder; Nodes[k].Index == k.
 	Nodes []*Node
+
+	// slab holds the nodes this tree created itself, in preorder: all of
+	// them for NewComplete and NewB1, only the root for Join.
+	slab []Node
+}
+
+// newTree returns an empty full binary tree over leaves leaves: Nodes and
+// Leaves share one backing array, and the slab has room for the created
+// nodes the tree makes itself.
+func newTree(leaves, created int) *Tree {
+	nodes := 2*leaves - 1
+	ptrs := make([]*Node, nodes+leaves)
+	return &Tree{Nodes: ptrs[:0:nodes], Leaves: ptrs[nodes:], slab: make([]Node, created)}
+}
+
+// node creates the tree's next node in preorder.
+func (t *Tree) node(leaf, depth int) *Node {
+	k := len(t.Nodes)
+	n := &t.slab[k]
+	n.Leaf, n.Index, n.Depth = leaf, k, depth
+	t.Nodes = append(t.Nodes, n)
+	return n
 }
 
 // NewComplete builds a balanced binary tree with n >= 1 leaves. Every leaf
@@ -58,9 +83,8 @@ func NewComplete(n int) (*Tree, error) {
 		return nil, fmt.Errorf("b1tree: complete tree needs n >= 1 leaves, got %d", n)
 	}
 
-	t := &Tree{Leaves: make([]*Node, n)}
-	t.Root = t.buildComplete(0, n)
-	t.finish()
+	t := newTree(n, 2*n-1)
+	t.Root = t.buildComplete(0, n, 0)
 	return t, nil
 }
 
@@ -75,61 +99,47 @@ func NewB1(n int) (*Tree, error) {
 		return nil, fmt.Errorf("b1tree: B1 tree needs n >= 1 leaves, got %d", n)
 	}
 
-	t := &Tree{Leaves: make([]*Node, n)}
+	t := newTree(n, 2*n-1)
 
 	// Block k covers leaves [start_k, end_k):
 	//   block 0 = {0}, block 1 = {1}, block k = [2^(k-1), 2^k) for k >= 2,
 	// truncated at n.
-	type span struct{ start, end int }
-	var blocks []span
-	for start := 0; start < n; {
-		var end int
-		switch start {
-		case 0:
-			end = 1
-		case 1:
-			end = 2
-		default:
-			end = start * 2
-		}
-		if end > n {
-			end = n
-		}
-		blocks = append(blocks, span{start: start, end: end})
-		start = end
+	// Right-leaning spine: spine node k, at depth k, has the balanced tree
+	// over block k as its left child; the last spine node takes the final
+	// block as its right child. Creating each spine node before its block
+	// keeps the nodes in preorder.
+	var spine *Node // the spine node the next block or spine node hangs from
+	start, depth := 0, 0
+	for end := blockEnd(start); end < n; end = blockEnd(start) {
+		next := t.node(-1, depth)
+		t.hang(spine, next)
+		next.Left = t.buildComplete(start, end, depth+1)
+		next.Left.Parent = next
+		spine, start = next, end
+		depth++
 	}
-
-	if len(blocks) == 1 {
-		t.Root = t.buildComplete(blocks[0].start, blocks[0].end)
-		t.finish()
-		return t, nil
-	}
-
-	// Right-leaning spine: spine node k has the balanced tree over block k
-	// as its left child; the last spine node takes the final block as its
-	// right child.
-	last := len(blocks) - 1
-	spine := make([]*Node, last)
-	for k := range spine {
-		spine[k] = &Node{Leaf: -1}
-	}
-	for k := 0; k < last; k++ {
-		left := t.buildComplete(blocks[k].start, blocks[k].end)
-		spine[k].Left = left
-		left.Parent = spine[k]
-
-		var right *Node
-		if k+1 < last {
-			right = spine[k+1]
-		} else {
-			right = t.buildComplete(blocks[last].start, blocks[last].end)
-		}
-		spine[k].Right = right
-		right.Parent = spine[k]
-	}
-	t.Root = spine[0]
-	t.finish()
+	t.hang(spine, t.buildComplete(start, n, depth))
 	return t, nil
+}
+
+// blockEnd returns the end of the B1 block starting at leaf start, before
+// truncation at the leaf count.
+func blockEnd(start int) int {
+	if start < 2 {
+		return start + 1
+	}
+	return 2 * start
+}
+
+// hang makes child the right child of parent, or the root when parent is
+// nil.
+func (t *Tree) hang(parent, child *Node) {
+	if parent == nil {
+		t.Root = child
+		return
+	}
+	parent.Right = child
+	child.Parent = parent
 }
 
 // Join combines two trees under a fresh root (left becomes the root's left
@@ -137,20 +147,23 @@ func NewB1(n int) (*Tree, error) {
 // combined tree, and the combined tree's leaf i is left's leaf i for
 // i < len(left.Leaves), then right's leaves.
 func Join(left, right *Tree) *Tree {
-	root := &Node{Leaf: -1, Left: left.Root, Right: right.Root}
-	left.Root.Parent = root
-	right.Root.Parent = root
+	t := newTree(len(left.Leaves)+len(right.Leaves), 1) // the other nodes stay in their slabs
+	t.Root = t.node(-1, 0)
+	t.Root.Left, t.Root.Right = left.Root, right.Root
+	left.Root.Parent, right.Root.Parent = t.Root, t.Root
 
-	t := &Tree{
-		Root:   root,
-		Leaves: make([]*Node, 0, len(left.Leaves)+len(right.Leaves)),
+	// The preorder of the joined tree is the root, then left's preorder,
+	// then right's: shift every index past the root and every depth by
+	// the new edge, and make leaf indices dense in the combined tree.
+	for _, sub := range []*Tree{left, right} {
+		for _, n := range sub.Nodes {
+			n.Index = len(t.Nodes)
+			n.Depth++
+			t.Nodes = append(t.Nodes, n)
+		}
 	}
-	t.Leaves = append(t.Leaves, left.Leaves...)
-	t.Leaves = append(t.Leaves, right.Leaves...)
-	t.finish()
-
-	// Leaf indices were assigned within each subtree; rewrite them to be
-	// dense in the combined tree.
+	copy(t.Leaves, left.Leaves)
+	copy(t.Leaves[len(left.Leaves):], right.Leaves)
 	for i, leaf := range t.Leaves {
 		leaf.Leaf = i
 	}
@@ -169,39 +182,21 @@ func (t *Tree) PathToRoot(i int) []*Node {
 	return path
 }
 
-// buildComplete builds a balanced subtree over leaves [start, end) and
-// registers them in t.Leaves.
-func (t *Tree) buildComplete(start, end int) *Node {
+// buildComplete builds a balanced subtree over leaves [start, end) whose
+// root sits at depth, and registers its leaves in t.Leaves.
+func (t *Tree) buildComplete(start, end, depth int) *Node {
 	if end-start == 1 {
-		leaf := &Node{Leaf: start}
+		leaf := t.node(start, depth)
 		t.Leaves[start] = leaf
 		return leaf
 	}
+	n := t.node(-1, depth)
 	mid := start + (end-start+1)/2
-	n := &Node{Leaf: -1}
-	n.Left = t.buildComplete(start, mid)
-	n.Right = t.buildComplete(mid, end)
+	n.Left = t.buildComplete(start, mid, depth+1)
+	n.Right = t.buildComplete(mid, end, depth+1)
 	n.Left.Parent = n
 	n.Right.Parent = n
 	return n
-}
-
-// finish assigns Index and Depth to every node via a preorder walk.
-func (t *Tree) finish() {
-	t.Nodes = t.Nodes[:0]
-	var walk func(n *Node, depth int)
-	walk = func(n *Node, depth int) {
-		n.Index = len(t.Nodes)
-		n.Depth = depth
-		t.Nodes = append(t.Nodes, n)
-		if n.Left != nil {
-			walk(n.Left, depth+1)
-		}
-		if n.Right != nil {
-			walk(n.Right, depth+1)
-		}
-	}
-	walk(t.Root, 0)
 }
 
 // B1DepthBound returns the proven upper bound on the depth of leaf i in a

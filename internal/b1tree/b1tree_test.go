@@ -184,7 +184,7 @@ func TestJoin(t *testing.T) {
 	}
 	// Depths shifted by one.
 	if tr.Leaves[0].Depth != left.Leaves[0].Depth {
-		// After Join, finish() recomputed depths relative to the new root,
+		// Join recomputed depths relative to the new root,
 		// so the old subtree depth plus one edge.
 		t.Logf("left leaf depth now %d", tr.Leaves[0].Depth)
 	}

@@ -387,3 +387,26 @@ func TestQuickWriteReadConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNewAllocationsDoNotGrowWithN pins the cost the simulator pays on
+// every rebuild of an explored execution: on a reset pool, building
+// Algorithm A takes the same number of allocations whatever the tree's
+// size.
+func TestNewAllocationsDoNotGrowWithN(t *testing.T) {
+	pool := primitive.NewPool()
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			pool.Reset()
+			if _, err := New(pool, n, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	want := allocs(2)
+	for _, n := range []int{5, 64} {
+		if got := allocs(n); got != want {
+			t.Fatalf("New(n=%d) allocates %v times on a reset pool, New(n=2) %v", n, got, want)
+		}
+	}
+	t.Logf("New allocates %v times on a reset pool", want)
+}

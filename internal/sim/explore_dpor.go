@@ -24,15 +24,15 @@ import (
 // Soundness is enforced mechanically rather than by trust:
 // CrossCheckReduction runs reduced and unreduced exploration over the same
 // configuration and verifies — via canonical-trace hashing over the
-// recorded access footprints — that the reduced run covers every
-// equivalence class the full run visits. make race-sim runs it at smoke
-// size on every push; the dpor bench suite records the reduction factors.
+// recorded access footprints — that the reduced run visits every
+// equivalence class the full run visits, and each exactly once. make
+// race-sim runs it at smoke size on every push; the dpor bench suite
+// records the reduction factors.
 
 // Footprint is one step's shared-memory access: the register index, the
-// primitive, and whether the step wrote (a write, or a CAS counted by
-// Wrote). Pending.Footprint sets Wrote conservatively for CAS (success
-// unknown before execution); Event.Footprint records the actual outcome, so
-// a failed CAS — which changed nothing — counts as a read.
+// primitive, and whether the step wrote (a write, or a successful CAS). A
+// failed CAS changed nothing, so it counts as a read. Event.Footprint
+// records the outcome; Pending.Footprint predicts it from current memory.
 type Footprint struct {
 	Reg   int
 	Kind  OpKind
@@ -45,11 +45,14 @@ type Footprint struct {
 // step, or the final memory — the Mazurkiewicz independence relation the
 // sleep sets prune by and the trace canonicalization groups by.
 //
-// The relation is sound for both footprint flavors, in the required
-// direction: exploration decides against Pending footprints (CAS
-// conservatively Wrote, never pruning a schedule that could differ), while
-// TraceHash groups Event footprints (failed CAS refined to a read, so the
-// classes exploration preserves are never split apart by the cross-check).
+// Exploration decides against Pending footprints and TraceHash groups Event
+// footprints, and the two agree: a pending CAS is a read exactly when it
+// would fail if run now. That makes the relation conditional on the state
+// (Godefroid and Pirottin, "Refining dependencies improves partial-order
+// verification methods", CAV 1993), and it stays sound for sleep sets
+// because a sleeping CAS's outcome cannot change while it sleeps: a step
+// that could change it writes its register, is therefore dependent on it,
+// and wakes it.
 func Independent(a, b Footprint) bool {
 	if a.Reg != b.Reg {
 		return true
@@ -57,7 +60,7 @@ func Independent(a, b Footprint) bool {
 	return !a.Wrote && !b.Wrote
 }
 
-// ExploreReduced enumerates at least one representative of EVERY
+// ExploreReduced enumerates exactly one representative of EVERY
 // Mazurkiewicz trace equivalence class of the system produced by build —
 // instead of every interleaving, as Explore does — invoking check on each
 // visited execution and returning how many executions it visited.
@@ -75,10 +78,14 @@ func Independent(a, b Footprint) bool {
 // For fully independent programs the schedule tree collapses to a single
 // execution; for fully conflicting ones (every step a write to one shared
 // register) there is no reduction and the visit set equals Explore's.
-// check sees only complete executions, exactly as with Explore, and any
-// property of the execution log/final state (linearizability of the
-// recorded history, final memory assertions, step counts) is preserved
-// class-wide, so checking representatives has identical bug-finding power.
+// check sees only complete executions, exactly as with Explore. Any
+// property of the event log and final state (responses, final memory, step
+// counts) is the same across a class, so checking representatives finds
+// the same such bugs. Real-time order between operations is NOT such a
+// property: a class mixes executions in which one operation finished
+// before another began with executions in which the two overlapped, so a
+// linearizability check over the recorded history may miss a violation
+// that only the first kind shows (docs/exploration.md has the example).
 //
 // build must be deterministic, and budget behaves exactly as in Explore:
 // the returned count equals the number of check calls, and reaching an
@@ -108,28 +115,23 @@ func ExploreReduced(build func() (*System, error), check func(*System) error, bu
 			return nil
 		}
 
-		fps := pendingFootprints(s, active)
-		asleep := make(map[int]bool, len(sleep))
-		for _, id := range sleep {
-			asleep[id] = true
-		}
+		buf := make([]Footprint, len(active)+len(sleep))
+		fps := pendingFootprints(buf[:0:len(active)], s, active)
+		sleepFps := buf[len(active):]
+		awake := splitSleeping(active, fps, sleep, sleepFps)
 		// Explore the non-sleeping processes in ascending id order (the
 		// deterministic sibling order ExploreParallel's reduced mode
 		// reproduces). Once a sibling's subtree is done it joins the sleep
 		// set of the later siblings: any schedule starting with a later,
 		// independent first move was already visited modulo commutation.
-		var explored []int
-		for _, id := range active {
-			if asleep[id] {
-				continue
-			}
-			childSleep := sleepAfter(sleep, explored, fps, id)
+		next, nextFps := active[:awake], fps[:awake]
+		for i, id := range next {
+			childSleep := sleepAfter(make([]int, 0, len(sleep)+i), sleep, sleepFps, next[:i], nextFps[:i], nextFps[i])
 			// Re-slice with a hard cap so sibling branches cannot alias
 			// one another's prefix storage.
 			if err := explore(append(prefix[:len(prefix):len(prefix)], id), childSleep); err != nil {
 				return err
 			}
-			explored = append(explored, id)
 		}
 		// A node whose enabled processes are all asleep is fully redundant:
 		// every continuation commutes into an already-explored subtree.
@@ -141,57 +143,59 @@ func ExploreReduced(build func() (*System, error), check func(*System) error, bu
 	return executions, nil
 }
 
-// pendingFootprints collects the pending-step footprint of every active
-// process at the current node.
-func pendingFootprints(s *System, active []int) map[int]Footprint {
-	fps := make(map[int]Footprint, len(active))
+// pendingFootprints appends to dst the pending-step footprint of each
+// active process at the current node, parallel to active.
+func pendingFootprints(dst []Footprint, s *System, active []int) []Footprint {
 	for _, id := range active {
-		pd, ok := s.EnabledOf(id)
-		if !ok {
-			continue // unreachable: active processes have pending events
-		}
-		fps[id] = pd.Footprint()
+		dst = append(dst, s.procs[id].pending.Footprint())
 	}
-	return fps
+	return dst
 }
 
-// sleepAfter builds the sleep set of the child entered by scheduling next:
-// every process from the parent's sleep set or its already-explored earlier
-// siblings whose pending step is independent of next's. A dependent step
-// wakes the process — reordering it against next is observable, so its
-// subtree must be explored again on this side.
-func sleepAfter(sleep, explored []int, fps map[int]Footprint, next int) []int {
-	out := make([]int, 0, len(sleep)+len(explored))
-	for _, q := range sleep {
-		if Independent(fps[q], fps[next]) {
-			out = append(out, q)
+// splitSleeping removes the sleeping processes from a node's active set by
+// merging two ascending lists: active, and the sleep set, which is a subset
+// of it (a sleeping process is never stepped, so it stays active). The
+// awake processes are compacted in place to the front of active, their
+// footprints moving alongside in the parallel fps, and each sleeper's
+// footprint is written to sleepFps, parallel to sleep. It returns the
+// number of awake processes.
+func splitSleeping(active []int, fps []Footprint, sleep []int, sleepFps []Footprint) int {
+	awake, j := 0, 0
+	for i, id := range active {
+		if j < len(sleep) && sleep[j] == id {
+			sleepFps[j] = fps[i]
+			j++
+			continue
 		}
+		active[awake], fps[awake] = id, fps[i]
+		awake++
 	}
-	for _, q := range explored {
-		if Independent(fps[q], fps[next]) {
-			out = append(out, q)
-		}
-	}
-	return out
+	return awake
 }
 
-// removeSleeping returns the active processes not in the (ascending) sleep
-// set, preserving order.
-func removeSleeping(active, sleep []int) []int {
-	if len(sleep) == 0 {
-		return active
-	}
-	asleep := make(map[int]bool, len(sleep))
-	for _, id := range sleep {
-		asleep[id] = true
-	}
-	out := make([]int, 0, len(active))
-	for _, id := range active {
-		if !asleep[id] {
-			out = append(out, id)
+// sleepAfter appends to dst the sleep set of the child entered by the step
+// with footprint next: every process from the parent's sleep set or its
+// already-explored earlier siblings whose pending step is independent of
+// next. A dependent step wakes the process — reordering it against next is
+// observable, so its subtree must be explored again on this side. sleep and
+// explored are ascending and disjoint, each with its parallel footprints;
+// merging them keeps the result ascending.
+func sleepAfter(dst, sleep []int, sleepFps []Footprint, explored []int, exploredFps []Footprint, next Footprint) []int {
+	i, j := 0, 0
+	for i < len(sleep) || j < len(explored) {
+		if j == len(explored) || (i < len(sleep) && sleep[i] < explored[j]) {
+			if Independent(sleepFps[i], next) {
+				dst = append(dst, sleep[i])
+			}
+			i++
+		} else {
+			if Independent(exploredFps[j], next) {
+				dst = append(dst, explored[j])
+			}
+			j++
 		}
 	}
-	return out
+	return dst
 }
 
 // TraceHash returns a canonical 64-bit hash of the execution's Mazurkiewicz
@@ -289,10 +293,11 @@ func (r ReductionStats) String() string {
 // CrossCheckReduction is the mechanical soundness check of the DPOR layer:
 // it explores the configuration exhaustively AND reduced, canonicalizes
 // every visited execution with TraceHash, and fails unless the reduced run
-// covers every trace equivalence class the full run visits (and visits no
-// class the full run does not — which would indicate a broken
-// canonicalization or a nondeterministic build). budget bounds each run
-// independently, exactly as in Explore.
+// covers every trace equivalence class the full run visits, visits no
+// class the full run does not (which would indicate a broken
+// canonicalization or a nondeterministic build), and visits each class
+// exactly once. budget bounds each run independently, exactly as in
+// Explore.
 func CrossCheckReduction(build func() (*System, error), budget int) (ReductionStats, error) {
 	var stats ReductionStats
 
@@ -343,6 +348,11 @@ func CrossCheckReduction(build func() (*System, error), budget int) (ReductionSt
 			return stats, fmt.Errorf(
 				"sim: crosscheck inconsistency: reduced exploration visited a trace class the full exploration never produced (nondeterministic build, or a TraceHash bug)")
 		}
+	}
+	if reducedExecs != len(reduced) {
+		return stats, fmt.Errorf(
+			"sim: DPOR not exact on this configuration: reduced exploration visited %d executions in %d trace equivalence classes, so two of them fell in one class",
+			reducedExecs, len(reduced))
 	}
 	return stats, nil
 }

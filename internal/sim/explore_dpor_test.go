@@ -250,7 +250,7 @@ func TestTraceHashInvariantUnderIndependentSwaps(t *testing.T) {
 func TestFailedCASCommutesWithReadInTraceHash(t *testing.T) {
 	// proc 0 reads the register; proc 1 attempts a CAS that always fails
 	// (expected value never present). The failed CAS writes nothing, so
-	// both orders are one trace class.
+	// both orders are one trace class, and one execution represents it.
 	build := func() (*System, error) {
 		pool := primitive.NewPool()
 		r := pool.New("r", 5)
@@ -279,12 +279,61 @@ func TestFailedCASCommutesWithReadInTraceHash(t *testing.T) {
 	if h1 != h2 {
 		t.Fatalf("read and failed CAS did not commute in the trace hash: %#x vs %#x", h1, h2)
 	}
-	// Exploration still treats the pending CAS as a possible write (success
-	// unknown before execution), so the reduced run visits both orders —
-	// strictly more executions than classes is allowed; missing a class is
-	// not. The cross-check pins that direction.
-	if _, err := CrossCheckReduction(build, 1000); err != nil {
+	// Exploration judges the pending CAS against current memory: it will
+	// fail, so it is a read too, and the reduced run visits one order only.
+	stats, err := CrossCheckReduction(build, 1000)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if stats.FullExecs != 2 || stats.ReducedExecs != 1 || stats.Classes != 1 {
+		t.Fatalf("%v, want full=2 reduced=1 classes=1", stats)
+	}
+}
+
+// TestSleepingCASWokenByWrite pins the soundness argument for judging a
+// pending CAS by current memory. Process 0's CAS fails where the branch
+// begins, so it counts as a read and sleeps through process 1's first,
+// independent write. Process 1's second write makes the CAS succeed; that
+// write is on the CAS's register, hence dependent, and wakes it. Both
+// outcomes must be visited, each once.
+func TestSleepingCASWokenByWrite(t *testing.T) {
+	build := func() (*System, error) {
+		pool := primitive.NewPool()
+		r := pool.New("r", 0)
+		q := pool.New("q", 0)
+		s := NewSystem()
+		if err := s.Spawn(0, func(ctx primitive.Context) { ctx.CAS(r, 1, 2) }); err != nil {
+			return nil, err
+		}
+		if err := s.Spawn(1, func(ctx primitive.Context) {
+			ctx.Write(q, 1)
+			ctx.Write(r, 1)
+		}); err != nil {
+			return nil, err
+		}
+		return s, nil
+	}
+	var outcomes []bool
+	execs, err := ExploreReduced(build, func(s *System) error {
+		for _, ev := range s.Events() {
+			if ev.Kind == OpCAS {
+				outcomes = append(outcomes, ev.CASOK)
+			}
+		}
+		return nil
+	}, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if execs != 2 || len(outcomes) != 2 || outcomes[0] == outcomes[1] {
+		t.Fatalf("reduced run visited %d executions with CAS outcomes %v, want one failed and one successful", execs, outcomes)
+	}
+	stats, err := CrossCheckReduction(build, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.FullExecs != 3 || stats.Classes != 2 {
+		t.Fatalf("%v, want full=3 classes=2", stats)
 	}
 }
 

@@ -27,7 +27,7 @@ type Options struct {
 
 	// Reduce switches the engine to dynamic partial-order reduction: the
 	// work-stealing deques carry per-node sleep sets and the visited
-	// execution set shrinks from every interleaving to (at least) one
+	// execution set shrinks from every interleaving to exactly one
 	// representative per Mazurkiewicz trace equivalence class — the same
 	// set ExploreReduced visits sequentially. See ExploreReduced and
 	// docs/exploration.md; CrossCheckReduction verifies class coverage
@@ -153,6 +153,16 @@ type exploreWorker struct {
 	mu    sync.Mutex
 	deque []frontierNode
 	rec   *Recycler
+
+	// Buffers descend reuses at every node, so that an interior node
+	// allocates only the frontier nodes it pushes: the active processes,
+	// their pending footprints (parallel to active), the footprints of the
+	// sleeping ones (parallel to the sleep set), and two sleep sets the
+	// continuation alternates between.
+	active   []int
+	fps      []Footprint
+	sleepFps []Footprint
+	sleeps   [2][]int
 }
 
 // push appends a node at the owner's (tail) end.
@@ -247,14 +257,14 @@ func (e *exploreEngine) descend(w *exploreWorker, node frontierNode) {
 		e.fail(fmt.Errorf("sim: explore replay: %w", err))
 		return
 	}
-	sleep := node.sleep
+	sleep, spare := node.sleep, 0
 
 	for {
 		if e.stop.Load() {
 			return
 		}
-		active := s.Active()
-		if len(active) == 0 {
+		w.active = s.appendActive(w.active[:0])
+		if len(w.active) == 0 {
 			// Budget test mirroring the sequential engines: the execution
 			// that would exceed the cap is un-counted again and reported,
 			// so the final count equals the number of check calls.
@@ -270,36 +280,45 @@ func (e *exploreEngine) descend(w *exploreWorker, node frontierNode) {
 			return
 		}
 
-		next := active
-		var fps map[int]Footprint
+		next := w.active
+		var fps, sleepFps []Footprint
 		if e.reduce {
-			next = removeSleeping(active, sleep)
-			if len(next) == 0 {
+			w.fps = pendingFootprints(w.fps[:0], s, w.active)
+			w.sleepFps = append(w.sleepFps[:0], make([]Footprint, len(sleep))...)
+			fps, sleepFps = w.fps, w.sleepFps
+			awake := splitSleeping(w.active, fps, sleep, sleepFps)
+			if awake == 0 {
 				// Sleep-set blocked: every continuation commutes into an
 				// already-explored subtree. Not an execution; abandon.
 				return
 			}
-			fps = pendingFootprints(s, active)
+			next, fps = next[:awake], fps[:awake]
 		}
-		if len(next) > 1 {
+		last := len(next) - 1
+		if last > 0 {
 			cur := s.Schedule()
-			for i, id := range next[:len(next)-1] {
-				child := make([]int, len(cur)+1)
-				copy(child, cur)
-				child[len(cur)] = id
-				var childSleep []int
+			for i, id := range next[:last] {
+				// One allocation per pushed child: its prefix, with its
+				// sleep set in the remaining capacity.
+				n := len(cur) + 1
+				buf := make([]int, n, n+len(sleep)+i)
+				copy(buf, cur)
+				buf[len(cur)] = id
+				child := frontierNode{prefix: buf[:n:n]}
 				if e.reduce {
-					childSleep = sleepAfter(sleep, next[:i], fps, id)
+					child.sleep = sleepAfter(buf[n:n], sleep, sleepFps, next[:i], fps[:i], fps[i])
 				}
 				e.outstanding.Add(1)
-				w.push(frontierNode{prefix: child, sleep: childSleep})
+				w.push(child)
 			}
 		}
-		last := next[len(next)-1]
 		if e.reduce {
-			sleep = sleepAfter(sleep, next[:len(next)-1], fps, last)
+			// The continuation's sleep set goes to the worker buffer the
+			// current one does not occupy.
+			w.sleeps[spare] = sleepAfter(w.sleeps[spare][:0], sleep, sleepFps, next[:last], fps[:last], fps[last])
+			sleep, spare = w.sleeps[spare], 1-spare
 		}
-		if _, err := s.Step(last); err != nil {
+		if _, err := s.step(next[last]); err != nil {
 			e.fail(fmt.Errorf("sim: explore step: %w", err))
 			return
 		}

@@ -324,3 +324,53 @@ func TestPoolResetReissuesIdenticalRegisters(t *testing.T) {
 		t.Fatalf("grown pool id=%d len=%d, want 2/3", d.ID(), pool.Len())
 	}
 }
+
+// TestReducedExploreAllocationsPerBuild bounds what one rebuild of a
+// reduced ExploreParallel costs in allocations, so that interior nodes stay
+// allocation-free: the footprints, the awake processes and the
+// continuation's sleep set live in worker buffers, and only a child pushed
+// onto the deque gets storage of its own. The configuration is two
+// processes each CAS-incrementing one register twice, built from the
+// worker's recycler with programs made once, so the builder itself
+// allocates only the System; the bound absorbs the call's fixed cost (the
+// worker, its recycler and the coroutines) spread over its builds.
+func TestReducedExploreAllocationsPerBuild(t *testing.T) {
+	var (
+		shared *primitive.Register
+		builds int
+	)
+	increment := func(ctx primitive.Context) {
+		for i := 0; i < 2; i++ {
+			for {
+				v := ctx.Read(shared)
+				if ctx.CAS(shared, v, v+1) {
+					break
+				}
+			}
+		}
+	}
+	build := func(rec *Recycler) (*System, error) {
+		builds++
+		shared = rec.Pool().New("shared", 0)
+		s := rec.NewSystem()
+		for id := 0; id < 2; id++ {
+			if err := s.Spawn(id, increment); err != nil {
+				return nil, err
+			}
+		}
+		return s, nil
+	}
+	explore := func() {
+		if _, err := ExploreParallel(build, func(*System) error { return nil }, Options{Workers: 1, Budget: 1000, Reduce: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	explore()
+	perCall := float64(builds)
+	builds = 0
+	perBuild := testing.AllocsPerRun(10, explore) / perCall
+	t.Logf("%.0f builds per exploration, %.2f allocations per build", perCall, perBuild)
+	if perBuild > 3 {
+		t.Fatalf("a reduced rebuild allocates %.2f times, want at most 3", perBuild)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -310,4 +311,45 @@ func runCrashSeed(seed int64) error {
 		return fmt.Errorf("seed %d: %w", seed, err)
 	}
 	return nil
+}
+
+// TestReducedExplorationMissesRealTimeOrder documents what trace
+// equivalence does not preserve: the real-time order of operations.
+// Process 0 writes y and then reads the counter x. Process 1's increment
+// is planted to write z instead of x. Every step touches its own register,
+// so all interleavings form one trace class and the reduced engines visit
+// one execution, in which the increment overlaps the read and the history
+// is linearizable. Only schedule [1 0 0], where the increment completes
+// before the read begins, shows the bug, and only Explore visits it. Once
+// operation boundaries count as dependent steps, the reduced run must
+// catch it as well.
+func TestReducedExplorationMissesRealTimeOrder(t *testing.T) {
+	build := func(pool *primitive.Pool) ([]sim.Program, *history.Recorder) {
+		rec := history.NewRecorder()
+		x, y, z := pool.New("x", 0), pool.New("y", 0), pool.New("z", 0)
+		return []sim.Program{
+			func(ctx primitive.Context) {
+				ctx.Write(y, 1)
+				inv := rec.Invoke()
+				rec.Record(history.Op{Proc: ctx.ID(), Kind: history.KindCounterRead, Ret: ctx.Read(x)}, inv)
+			},
+			func(ctx primitive.Context) {
+				inv := rec.Invoke()
+				ctx.Write(z, 1)
+				rec.Record(history.Op{Proc: ctx.ID(), Kind: history.KindIncrement}, inv)
+			},
+		}, rec
+	}
+	execs, err := exploreExhaustive(build, history.CounterSpec{}, 100)
+	if err == nil || !strings.Contains(err.Error(), "schedule [1 0 0]") {
+		t.Fatalf("Explore did not report the violation at schedule [1 0 0] after %d executions: %v", execs, err)
+	}
+	execs, err = exploreWith(sim.ExploreReduced, build, history.CounterSpec{}, 100)
+	if err != nil || execs != 1 {
+		t.Fatalf("ExploreReduced: %d executions, err %v; want the one class visited once, without a report", execs, err)
+	}
+	execs, err = exploreExhaustiveParallel(build, history.CounterSpec{}, sim.Options{Workers: 2, Budget: 100, Reduce: true})
+	if err != nil || execs != 1 {
+		t.Fatalf("ExploreParallel reduced: %d executions, err %v; want the one class visited once, without a report", execs, err)
+	}
 }

@@ -77,6 +77,11 @@ func checkExhaustive(t *testing.T, build buildFn, spec history.Spec, budget int)
 // exploreExhaustive is checkExhaustive returning the first failure instead
 // of failing the test, for tests that expect a planted bug to be caught.
 func exploreExhaustive(build buildFn, spec history.Spec, budget int) (int, error) {
+	return exploreWith(sim.Explore, build, spec, budget)
+}
+
+// exploreWith is exploreExhaustive through a given sequential engine.
+func exploreWith(explore func(func() (*sim.System, error), func(*sim.System) error, int) (int, error), build buildFn, spec history.Spec, budget int) (int, error) {
 	var rec *history.Recorder
 	buildSystem := func() (*sim.System, error) {
 		pool := primitive.NewPool()
@@ -90,7 +95,7 @@ func exploreExhaustive(build buildFn, spec history.Spec, budget int) (int, error
 		}
 		return s, nil
 	}
-	return sim.Explore(buildSystem, func(*sim.System) error {
+	return explore(buildSystem, func(*sim.System) error {
 		return history.CheckLinearizable(rec.Ops(), spec)
 	}, budget)
 }

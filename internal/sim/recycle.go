@@ -4,9 +4,9 @@ import (
 	"github.com/restricteduse/tradeoffs/internal/primitive"
 )
 
-// A Recycler caches the allocation-heavy scaffolding of released Systems —
-// event logs, schedule slices, process shells with their parked coroutines,
-// and one reusable register pool — so an exploration engine rebuilding
+// A Recycler caches released Systems with their event logs and schedule
+// slices, process shells with their parked coroutines, and one reusable
+// register pool — so an exploration engine rebuilding
 // thousands of systems per second reuses storage, and starts one coroutine
 // per process id instead of one per rebuild. Exploration builds are
 // deterministic, which is exactly what makes reuse sound: every cycle
@@ -20,39 +20,25 @@ import (
 //
 // A Recycler is scheduler-side scaffolding reuse; no model step is involved.
 type Recycler struct {
-	shells  []systemShell
-	procs   []*proc // idle shells, their coroutines parked
-	started []*proc // every shell this recycler has started, for Close
+	systems []*System // released systems, emptied
+	procs   []*proc   // idle shells, their coroutines parked
+	started []*proc   // every shell this recycler has started, for Close
 	pool    *primitive.Pool
-}
-
-// systemShell is the reusable storage of one released System.
-type systemShell struct {
-	procs    map[int]*proc
-	order    []int
-	events   []Event
-	schedule []int
 }
 
 // NewRecycler returns an empty recycler.
 func NewRecycler() *Recycler { return &Recycler{} }
 
 // NewSystem returns an empty system that draws cached process shells from
-// the recycler and whose log storage reuses that of previously Released
-// systems. Behavior is identical to NewSystem; only allocation differs.
+// the recycler: a previously Released system, when there is one, with its
+// log storage. Behavior is identical to NewSystem; only allocation differs.
 func (r *Recycler) NewSystem() *System {
-	s := &System{rec: r}
-	if n := len(r.shells); n > 0 {
-		sh := r.shells[n-1]
-		r.shells = r.shells[:n-1]
-		s.procs = sh.procs
-		s.order = sh.order[:0]
-		s.events = sh.events[:0]
-		s.schedule = sh.schedule[:0]
-	} else {
-		s.procs = make(map[int]*proc)
+	if n := len(r.systems); n > 0 {
+		s := r.systems[n-1]
+		r.systems = r.systems[:n-1]
+		return s
 	}
-	return s
+	return &System{procs: make(map[int]*proc), rec: r}
 }
 
 // Pool returns the recycler's register pool, Reset to empty: a
@@ -68,11 +54,11 @@ func (r *Recycler) Pool() *primitive.Pool {
 	return r.pool
 }
 
-// Release shuts s down and donates its scaffolding to the recycler. The
-// system, its event log, its schedule, and any registers allocated from the
-// recycler's pool must not be used afterwards: the next build cycle
-// overwrites them. Systems built outside the recycler may be Released too —
-// their log storage is simply adopted.
+// Release shuts s down and donates it to the recycler. The system, its
+// event log, its schedule, and any registers allocated from the recycler's
+// pool must not be used afterwards: the next build cycle reuses them.
+// Systems built outside the recycler may be Released too — they are simply
+// adopted.
 func (r *Recycler) Release(s *System) {
 	s.Shutdown()
 	for id, p := range s.procs {
@@ -88,16 +74,12 @@ func (r *Recycler) Release(s *System) {
 		}
 		delete(s.procs, id)
 	}
-	r.shells = append(r.shells, systemShell{
-		procs:    s.procs,
-		order:    s.order,
-		events:   s.events,
-		schedule: s.schedule,
-	})
-	s.procs = nil
-	s.order = nil
-	s.events = nil
-	s.schedule = nil
+	s.order = s.order[:0]
+	s.events = s.events[:0]
+	s.schedule = s.schedule[:0]
+	s.observer = nil
+	s.rec = r
+	r.systems = append(r.systems, s)
 }
 
 // Close stops every coroutine the recycler started, unwinding the programs

@@ -87,12 +87,18 @@ func (e Event) Footprint() Footprint {
 	return Footprint{Reg: e.RegID, Kind: e.Kind, Wrote: e.Kind == OpWrite || (e.Kind == OpCAS && e.CASOK)}
 }
 
-// Footprint returns the access the pending event will apply. Whether a
-// pending CAS will succeed depends on memory it has not read yet, so its
-// footprint conservatively counts as a write (Wrote true) — the sound
-// direction for pruning decisions taken before the step executes.
+// Footprint returns the access the pending event would apply if it ran
+// now, judged against current memory by Event.Footprint's rule: a pending
+// CAS whose expected value differs from its register's current value will
+// fail, so it counts as a read. Only a step that writes the register can
+// change that verdict, and such a step is dependent on the CAS by this very
+// footprint — which is what lets the sleep sets rely on it (see
+// Independent).
+//
+//tradeoffvet:outofband the scheduler peeks at memory to judge a pending CAS; this inspection is the adversary's, not a process step
 func (p Pending) Footprint() Footprint {
-	return Footprint{Reg: p.Reg.ID(), Kind: p.Kind, Wrote: p.Kind != OpRead}
+	wrote := p.Kind == OpWrite || (p.Kind == OpCAS && p.Reg.Load() == p.Old)
+	return Footprint{Reg: p.Reg.ID(), Kind: p.Kind, Wrote: wrote}
 }
 
 // Program is the code a simulated process runs. It must be deterministic
@@ -239,14 +245,18 @@ func (s *System) EnabledOf(id int) (Pending, bool) {
 
 // Active returns the ids of spawned, unfinished processes in ascending
 // order.
-func (s *System) Active() []int {
-	var ids []int
+func (s *System) Active() []int { return s.appendActive(nil) }
+
+// appendActive appends the ids Active returns to ids, so an engine can
+// reuse one buffer at every node.
+func (s *System) appendActive(ids []int) []int {
+	n := len(ids)
 	for _, id := range s.order {
 		if !s.procs[id].done {
 			ids = append(ids, id)
 		}
 	}
-	sort.Ints(ids)
+	sort.Ints(ids[n:])
 	return ids
 }
 
@@ -286,18 +296,28 @@ func WouldChange(p Pending) bool {
 // runs the process until it publishes its next event (or finishes). If the
 // program panics on the event's response, Step returns the applied event
 // together with a *PanicError.
+func (s *System) Step(id int) (Event, error) {
+	ev, err := s.step(id)
+	if ev == nil {
+		return Event{}, err
+	}
+	return *ev, err
+}
+
+// step is Step returning the applied event in place in the log (nil if none
+// was applied), so that replaying a schedule copies no events.
 //
 //tradeoffvet:outofband the scheduler IS the shared memory here: it applies each event with direct register access and accounts the step itself
-func (s *System) Step(id int) (Event, error) {
+func (s *System) step(id int) (*Event, error) {
 	p, ok := s.procs[id]
 	if !ok {
-		return Event{}, fmt.Errorf("sim: unknown process %d", id)
+		return nil, fmt.Errorf("sim: unknown process %d", id)
 	}
 	if p.done {
-		return Event{}, fmt.Errorf("sim: step process %d: %w", id, ErrFinished)
+		return nil, fmt.Errorf("sim: step process %d: %w", id, ErrFinished)
 	}
 
-	pd := p.pending
+	pd := &p.pending
 	before := pd.Reg.Load()
 	var (
 		after = before
@@ -315,10 +335,10 @@ func (s *System) Step(id int) (Event, error) {
 		after = pd.Reg.Load()
 		resp = procResp{ok: casOK}
 	default:
-		return Event{}, fmt.Errorf("sim: process %d has invalid pending op %v", id, pd.Kind)
+		return nil, fmt.Errorf("sim: process %d has invalid pending op %v", id, pd.Kind)
 	}
 
-	ev := Event{
+	s.events = append(s.events, Event{
 		Seq:     len(s.events),
 		Proc:    id,
 		Kind:    pd.Kind,
@@ -331,12 +351,12 @@ func (s *System) Step(id int) (Event, error) {
 		After:   after,
 		Changed: after != before,
 		CASOK:   casOK,
-	}
-	s.events = append(s.events, ev)
+	})
+	ev := &s.events[len(s.events)-1]
 	s.schedule = append(s.schedule, id)
 	p.steps++
 	if s.observer != nil {
-		s.observer(ev)
+		s.observer(*ev)
 	}
 
 	p.resp = resp
@@ -347,7 +367,7 @@ func (s *System) Step(id int) (Event, error) {
 // first error.
 func (s *System) Run(schedule []int) error {
 	for i, id := range schedule {
-		if _, err := s.Step(id); err != nil {
+		if _, err := s.step(id); err != nil {
 			return fmt.Errorf("sim: schedule position %d: %w", i, err)
 		}
 	}
